@@ -1,30 +1,23 @@
-//! The epoch driver: one builder-style entry point for every way an
-//! epoch loop can execute.
+//! The epoch driver: one builder-style entry point for every way the
+//! epoch loop can execute. An [`EpochDriver`] holds the optional seams
+//! ([`ControlHook`], [`EpochTap`], [`PhaseTimer`], a pre-epoch prologue,
+//! a [`CrashPoint`]) and runs a horizon of the **staged schedule** on one
+//! of two executors:
 //!
-//! Historically the server grew six `run_epoch*` methods (plain, hooked,
-//! tapped, instrumented, crash-armed, replayed — and the cross products
-//! were starting to sprawl). They all ran the *same* loop with different
-//! seams plugged in, so they collapse here into one [`EpochDriver`] that
-//! holds the optional seams ([`ControlHook`], [`EpochTap`],
-//! [`PhaseTimer`], a pre-epoch prologue, a [`CrashPoint`]) and offers the
-//! execution shapes:
-//!
-//! - [`EpochDriver::step`] / [`EpochDriver::step_replayed`]: one epoch,
-//!   **classic schedule** — dispatch is issued and executed at the top of
-//!   the epoch and the hook's actions are applied inside the same epoch.
-//!   Bit-identical to the historical `run_epoch*` loop; single-epoch
-//!   unit tests and examples keep their exact semantics.
-//! - [`EpochDriver::run`] / [`EpochDriver::run_replayed`]: a whole
-//!   horizon under the **staged schedule** — the single-threaded
-//!   execution of exactly the slot schedule the pipelined executor runs
-//!   across four stage workers (see [`crate::pipeline`]). Each slot `t`
-//!   executes the dispatch orders issued during slot `t-1`, applies the
-//!   hook's epoch-`t-1` actions, and issues slot `t+1`'s orders, so the
-//!   drain stage of epoch `t+1` can overlap the ingest of epoch `t`
-//!   without changing a byte of any report, trace, or run log.
+//! - [`EpochDriver::run`] / [`EpochDriver::run_replayed`]: the slots
+//!   back-to-back on the calling thread.
 //! - [`EpochDriver::run_pipelined`] (in [`crate::pipeline`]): the same
-//!   staged schedule spread across four long-lived worker threads
-//!   connected by bounded channels.
+//!   slots spread across four long-lived worker threads connected by
+//!   bounded channels, so the drain stage of epoch `t+1` overlaps the
+//!   ingest of epoch `t` without changing a byte of any report, trace,
+//!   or run log.
+//!
+//! Both executors call the same crate-private slot functions defined
+//! here — the crowd half (`CrowdHalf::execute`, `CrowdHalf::drain`), the
+//! ingest head and tail (`EpochCore::begin_slot`,
+//! `EpochCore::finish_slot`), `control`, and `render` — and differ only
+//! in which thread runs each stage and how the stages hand values on.
+//! [`crate::CraqrServer::run_epoch`] is a one-slot horizon.
 //!
 //! # The staged schedule, precisely
 //!
@@ -48,14 +41,13 @@
 //! server in the same final state); their stale-action count lands in no
 //! report, because no later epoch exists to carry it.
 //!
-//! Relative to the classic schedule this deterministically pins the
-//! control lag: a `SetBudget` emitted for epoch `t` is applied during
-//! slot `t+1` — after slot `t+2`'s orders were already issued — so it
-//! first affects the dispatch of epoch `t+2`, "the first epoch not yet
-//! ingested". A `RebuildChain` emitted for epoch `t` takes effect before
-//! epoch `t+1`'s ingestion. The lag is part of the blessed byte contract:
-//! serial, `Sharded(n)`, and `Pipelined(n)` all execute this exact
-//! schedule.
+//! The schedule pins the control lag deterministically: a `SetBudget`
+//! emitted for epoch `t` is applied during slot `t+1` — after slot
+//! `t+2`'s orders were already issued — so it first affects the dispatch
+//! of epoch `t+2`, "the first epoch not yet ingested". A `RebuildChain`
+//! emitted for epoch `t` takes effect before epoch `t+1`'s ingestion.
+//! The lag is part of the blessed byte contract: serial, `Sharded(n)`,
+//! and the pipelined executor all execute this exact schedule.
 //!
 //! # Crash semantics
 //!
@@ -93,23 +85,41 @@ use std::collections::HashMap;
 /// owner, which is what makes the two executors bit-identical by
 /// construction.
 pub(crate) struct EpochCore<'s> {
-    pub(crate) fabricator: &'s mut Fabricator,
-    pub(crate) handler: &'s mut RequestResponseHandler,
-    pub(crate) idgen: &'s mut TupleIdGen,
-    pub(crate) error_rng: &'s mut StdRng,
-    pub(crate) outputs: &'s mut HashMap<QueryId, Vec<CrowdTuple>>,
-    pub(crate) tenants: &'s mut Option<TenantRegistry>,
-    pub(crate) config: ServerConfig,
+    fabricator: &'s mut Fabricator,
+    handler: &'s mut RequestResponseHandler,
+    idgen: &'s mut TupleIdGen,
+    error_rng: &'s mut StdRng,
+    outputs: &'s mut HashMap<QueryId, Vec<CrowdTuple>>,
+    tenants: &'s mut Option<TenantRegistry>,
+    config: ServerConfig,
 }
 
-/// Borrow-splits a server into the crowd (drain-stage state), the epoch
-/// counter, and the planner half (ingest-stage state).
-pub(crate) fn split(server: &mut CraqrServer) -> (&mut Crowd, &mut u64, EpochCore<'_>) {
+/// The drain-stage half of a borrow-split server: the crowd, the
+/// prologue that mutates it, and the mobility sub-step schedule.
+pub(crate) struct CrowdHalf<'a> {
+    crowd: &'a mut Crowd,
+    prologue: Option<Prologue<'a>>,
+    substeps: u32,
+    dt: f64,
+}
+
+/// Borrow-splits a server into the crowd half (drain-stage state), the
+/// epoch counter, and the planner half (ingest-stage state).
+pub(crate) fn split<'a>(
+    server: &'a mut CraqrServer,
+    prologue: Option<Prologue<'a>>,
+) -> (CrowdHalf<'a>, &'a mut u64, EpochCore<'a>) {
     let config = server.config;
     let CraqrServer {
         crowd, fabricator, handler, idgen, error_rng, outputs, tenants, epoch, ..
     } = server;
-    (crowd, epoch, EpochCore { fabricator, handler, idgen, error_rng, outputs, tenants, config })
+    let substeps = config.mobility_substeps;
+    let dt = config.planner.batch_duration / substeps as f64;
+    (
+        CrowdHalf { crowd, prologue, substeps, dt },
+        epoch,
+        EpochCore { fabricator, handler, idgen, error_rng, outputs, tenants, config },
+    )
 }
 
 /// One epoch's issued dispatch: the handler/tenant side ran to
@@ -118,29 +128,120 @@ pub(crate) fn split(server: &mut CraqrServer) -> (&mut Crowd, &mut u64, EpochCor
 /// orders execute.
 pub(crate) struct IssuedDispatch {
     pub(crate) orders: Vec<SendOrder>,
-    pub(crate) stats: DispatchStats,
-    pub(crate) charges: Vec<(TenantId, f64)>,
+    stats: DispatchStats,
+    charges: Vec<(TenantId, f64)>,
+}
+
+/// One slot's crowd-side outcome, produced by the drain stage and
+/// consumed by the ingest stage.
+pub(crate) struct DrainedBatch {
+    pub(crate) slot: u64,
+    sent: u64,
+    faults: FaultDeltas,
+    responses: Vec<SensorResponse>,
+    epoch_start: f64,
+    epoch_end: f64,
 }
 
 /// The merge of one epoch's ingestion, pre-report.
-pub(crate) struct Ingested {
-    pub(crate) fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
-    pub(crate) delivered: Vec<(QueryId, usize)>,
-    pub(crate) exec: IngestReport,
-    pub(crate) ingested: usize,
-    pub(crate) rejected: usize,
+struct Ingested {
+    fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
+    delivered: Vec<(QueryId, usize)>,
+    exec: IngestReport,
+    ingested: usize,
+    rejected: usize,
 }
 
 /// Everything slot-local the report assembly needs besides the
 /// ingestion outcome.
 pub(crate) struct SlotMeta {
-    pub(crate) epoch: u64,
-    pub(crate) now: f64,
-    pub(crate) dispatch: DispatchStats,
-    pub(crate) responses: usize,
-    pub(crate) faults: FaultDeltas,
-    pub(crate) charges: Vec<(TenantId, f64)>,
-    pub(crate) stale_actions: u64,
+    epoch: u64,
+    now: f64,
+    dispatch: DispatchStats,
+    responses: usize,
+    faults: FaultDeltas,
+    charges: Vec<(TenantId, f64)>,
+    stale_actions: u64,
+}
+
+/// One ingested slot on its way to the control and render stages.
+pub(crate) struct IngestedSlot {
+    pub(crate) slot: u64,
+    pub(crate) report: EpochReport,
+    /// Raw (pre-corruption) responses for the tap; `None` when no tap
+    /// listens or a replay borrows them from the recorded inputs.
+    pub(crate) raw: Option<Vec<SensorResponse>>,
+    /// Built only when a hook is installed.
+    pub(crate) obs: Option<EpochObservation>,
+}
+
+impl CrowdHalf<'_> {
+    /// The drain stage's first half: prologue(`slot`), then execute the
+    /// orders issued for the slot (a replay takes the recorded send count
+    /// instead). Returns the slot's batch with no responses drained yet.
+    pub(crate) fn execute(
+        &mut self,
+        slot: u64,
+        orders: &[SendOrder],
+        input: Option<&ReplayInputs<'_>>,
+    ) -> DrainedBatch {
+        if let Some(p) = &mut self.prologue {
+            p(slot, self.crowd);
+        }
+        let epoch_start = self.crowd.now();
+        let sent = match input {
+            None => execute_orders(self.crowd, orders),
+            Some(inputs) => inputs.sent,
+        };
+        DrainedBatch {
+            slot,
+            sent,
+            faults: FaultDeltas::default(),
+            responses: Vec::new(),
+            epoch_start,
+            epoch_end: epoch_start,
+        }
+    }
+
+    /// The drain stage's second half: the world moves through the
+    /// mobility sub-steps, responses mature, and the matured responses
+    /// are drained into the recycled `buf`. A replay steps the detached
+    /// crowd only to advance the simulation clock through the same
+    /// sequence of `step` calls, and takes the faults and responses from
+    /// the recorded inputs.
+    pub(crate) fn drain(
+        &mut self,
+        batch: &mut DrainedBatch,
+        input: Option<&ReplayInputs<'_>>,
+        mut buf: Vec<SensorResponse>,
+    ) {
+        let crowd = &mut *self.crowd;
+        let before = FaultDeltas {
+            dropped: crowd.responses_dropped(),
+            delayed: crowd.responses_delayed(),
+            duplicated: crowd.responses_duplicated(),
+        };
+        for _ in 0..self.substeps {
+            crowd.step(self.dt);
+        }
+        batch.responses = match input {
+            None => {
+                batch.faults = FaultDeltas {
+                    dropped: crowd.responses_dropped() - before.dropped,
+                    delayed: crowd.responses_delayed() - before.delayed,
+                    duplicated: crowd.responses_duplicated() - before.duplicated,
+                };
+                crowd.drain_responses_reusing(buf)
+            }
+            Some(inputs) => {
+                batch.faults = inputs.faults;
+                buf.clear();
+                buf.extend_from_slice(inputs.responses);
+                buf
+            }
+        };
+        batch.epoch_end = crowd.now();
+    }
 }
 
 impl EpochCore<'_> {
@@ -170,20 +271,81 @@ impl EpochCore<'_> {
         IssuedDispatch { orders, stats, charges }
     }
 
-    /// Shortfall feedback for bounded retry (when configured): counts the
-    /// drained responses per chain *before* error injection mutates them.
-    pub(crate) fn observe_drained(&mut self, responses: &[SensorResponse]) {
-        if !self.handler.retry_enabled() {
-            return;
-        }
-        let grid = self.fabricator.grid();
-        let mut counts: HashMap<(craqr_geom::CellId, AttributeId), u64> = HashMap::new();
-        for r in responses {
-            if let Some(cell) = grid.cell_of(r.measurement.point.x, r.measurement.point.y) {
-                *counts.entry((cell, r.measurement.attr)).or_insert(0) += 1;
+    /// The ingest stage's head for one slot: fold the executed `sent`
+    /// into the dispatch stats and the handler's counter, apply the
+    /// hook's actions from the previous slot (after this slot's orders
+    /// already executed, before the next slot's are issued), and feed
+    /// the retry shortfall from the drained responses. Returns the
+    /// report metadata, `stale_actions` included.
+    pub(crate) fn begin_slot(
+        &mut self,
+        epoch: u64,
+        issued: IssuedDispatch,
+        batch: &DrainedBatch,
+        actions: &[ControlAction],
+    ) -> SlotMeta {
+        let mut dispatch = issued.stats;
+        dispatch.sent = batch.sent;
+        self.handler.record_sent(batch.sent);
+        let stale_actions = self.apply_actions(actions);
+        // Shortfall feedback for bounded retry (when configured) counts
+        // the drained responses per chain.
+        if self.handler.retry_enabled() {
+            let grid = self.fabricator.grid();
+            let mut counts: HashMap<(craqr_geom::CellId, AttributeId), u64> = HashMap::new();
+            for r in &batch.responses {
+                if let Some(cell) = grid.cell_of(r.measurement.point.x, r.measurement.point.y) {
+                    *counts.entry((cell, r.measurement.attr)).or_insert(0) += 1;
+                }
             }
+            self.handler.observe_responses(&counts);
         }
-        self.handler.observe_responses(&counts);
+        SlotMeta {
+            epoch,
+            now: batch.epoch_end,
+            dispatch,
+            responses: batch.responses.len(),
+            faults: batch.faults,
+            charges: issued.charges,
+            stale_actions,
+        }
+    }
+
+    /// The ingest stage's tail for one slot: snapshot the raw responses
+    /// into `raw` for the tap (before error injection mutates them in
+    /// place), absorb them, tune budgets and assemble the report, then
+    /// snapshot the hook's observation (only when one is listening) and
+    /// bank the fresh tuples into the per-query output buffers.
+    /// Returns the finished slot and the spent response buffer for
+    /// recycling.
+    pub(crate) fn finish_slot(
+        &mut self,
+        meta: SlotMeta,
+        batch: DrainedBatch,
+        mut raw: Option<Vec<SensorResponse>>,
+        want_obs: bool,
+    ) -> (IngestedSlot, Vec<SensorResponse>) {
+        if let Some(buf) = &mut raw {
+            buf.clear();
+            buf.extend_from_slice(&batch.responses);
+        }
+        let (ing, spent) = self.absorb(batch.responses);
+        let (report, fresh) = self.finish_report(meta, ing);
+        let obs = want_obs.then(|| {
+            EpochObservation::capture(
+                &report,
+                &fresh,
+                self.fabricator,
+                self.handler,
+                self.tenants.as_ref(),
+                batch.epoch_start,
+                batch.epoch_end,
+            )
+        });
+        for (qid, out) in fresh {
+            self.outputs.entry(qid).or_default().extend(out);
+        }
+        (IngestedSlot { slot: batch.slot, report, raw, obs }, spent)
     }
 
     /// Applies a hook's actions, returning how many were stale (targeted
@@ -229,10 +391,7 @@ impl EpochCore<'_> {
     /// through mitigation) for recycling. The mitigation region comes
     /// from the grid, which stores the crowd's region verbatim — the
     /// ingest stage never needs the crowd.
-    pub(crate) fn absorb(
-        &mut self,
-        mut responses: Vec<SensorResponse>,
-    ) -> (Ingested, Vec<SensorResponse>) {
+    fn absorb(&mut self, mut responses: Vec<SensorResponse>) -> (Ingested, Vec<SensorResponse>) {
         self.config.error_model.corrupt_batch(&mut responses, self.error_rng);
         let region = self.fabricator.grid().region();
         let (responses, rejected) = self.config.mitigation.apply(responses, &region);
@@ -250,9 +409,8 @@ impl EpochCore<'_> {
     }
 
     /// Budget tuning from flatten telemetry + report assembly. Returns
-    /// the report and the fresh per-query tuples (for the hook's
-    /// observation and the output buffers).
-    pub(crate) fn finish_report(
+    /// the report and the fresh per-query tuples.
+    fn finish_report(
         &mut self,
         meta: SlotMeta,
         ing: Ingested,
@@ -274,33 +432,36 @@ impl EpochCore<'_> {
         };
         (report, ing.fresh)
     }
+}
 
-    /// Snapshots the hook's observation (only when one is listening) and
-    /// banks the fresh tuples into the per-query output buffers.
-    pub(crate) fn observe_and_bank(
-        &mut self,
-        report: &EpochReport,
-        fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
-        want_obs: bool,
-        epoch_start: f64,
-        epoch_end: f64,
-    ) -> Option<EpochObservation> {
-        let obs = want_obs.then(|| {
-            EpochObservation::capture(
-                report,
-                &fresh,
-                self.fabricator,
-                self.handler,
-                self.tenants.as_ref(),
-                epoch_start,
-                epoch_end,
-            )
-        });
-        for (qid, out) in fresh {
-            self.outputs.entry(qid).or_default().extend(out);
-        }
-        obs
+/// The control stage: the hook observes one slot and emits its actions
+/// (none without a hook).
+pub(crate) fn control(
+    hook: Option<&mut (dyn ControlHook + '_)>,
+    obs: Option<&EpochObservation>,
+) -> Vec<ControlAction> {
+    match (hook, obs) {
+        (Some(hook), Some(obs)) => hook.on_epoch(obs),
+        _ => Vec::new(),
     }
+}
+
+/// The render stage: the tap records one slot — its report, the raw
+/// responses (the ingest stage's snapshot, or the recorded inputs under
+/// replay), and the actions the hook just emitted.
+pub(crate) fn render(
+    tap: Option<&mut (dyn EpochTap + '_)>,
+    input: Option<&ReplayInputs<'_>>,
+    slot: &IngestedSlot,
+    actions: &[ControlAction],
+) {
+    let Some(tap) = tap else { return };
+    let responses: &[SensorResponse] = match (input, &slot.raw) {
+        (Some(inputs), _) => inputs.responses,
+        (None, Some(raw)) => raw,
+        (None, None) => &[],
+    };
+    tap.on_epoch(&EpochInputsRecord { report: &slot.report, responses, actions });
 }
 
 /// Buffer-recycling counters for a horizon run — the observable half of
@@ -316,6 +477,19 @@ pub struct PoolStats {
     pub recycled: u64,
     /// Buffers parked in the pools when the run ended.
     pub pooled: usize,
+}
+
+impl PoolStats {
+    /// Takes a buffer from `pool`, counting whether it was recycled or
+    /// freshly allocated.
+    pub(crate) fn take<T>(&mut self, pool: &mut BatchPool<T>) -> Vec<T> {
+        if pool.retained() > 0 {
+            self.recycled += 1;
+        } else {
+            self.fresh_allocations += 1;
+        }
+        pool.take()
+    }
 }
 
 /// What a horizon run ([`EpochDriver::run`] and friends) produced.
@@ -344,13 +518,12 @@ impl RunOutcome {
 pub(crate) type Prologue<'a> = Box<dyn FnMut(u64, &mut Crowd) + Send + 'a>;
 
 /// The builder-style epoch executor over one [`CraqrServer`] — see the
-/// [module docs](crate::driver) for schedules and semantics. Build one
-/// with [`CraqrServer::driver`], chain the optional seams, then call one
-/// of the execution shapes:
+/// [module docs](crate::driver) for the schedule and its semantics.
+/// Build one with [`CraqrServer::driver`], chain the optional seams, then
+/// run a horizon:
 ///
 /// ```text
-/// server.driver().step();                      // one classic epoch
-/// server.driver().hook(&mut h).run(16);        // staged 16-epoch horizon
+/// server.driver().hook(&mut h).run(16);          // staged 16-epoch horizon
 /// server.driver().tap(&mut t).run_pipelined(16); // same bytes, 4 threads
 /// ```
 pub struct EpochDriver<'a> {
@@ -363,14 +536,13 @@ pub struct EpochDriver<'a> {
 }
 
 impl<'a> EpochDriver<'a> {
-    /// A bare driver: no seams, no crash, classic and staged schedules
-    /// both available.
+    /// A bare driver: no seams, no crash.
     pub fn new(server: &'a mut CraqrServer) -> Self {
         Self { server, hook: None, tap: None, timer: None, prologue: None, crash: None }
     }
 
     /// Installs the control seam: the hook observes every epoch and its
-    /// actions are applied per the active schedule.
+    /// actions are applied one slot later (see the module docs).
     pub fn hook(mut self, hook: &'a mut dyn ControlHook) -> Self {
         self.hook = Some(hook);
         self
@@ -391,11 +563,11 @@ impl<'a> EpochDriver<'a> {
         self
     }
 
-    /// Installs a pre-epoch prologue for horizon runs: called with the
-    /// slot index and the crowd at the top of each slot's drain stage
-    /// (scripted world shifts, churn, fault windows). Crowd-only by
-    /// construction — the planner half is mid-flight on another epoch
-    /// when the pipelined executor runs this.
+    /// Installs a pre-epoch prologue: called with the slot index and the
+    /// crowd at the top of each slot's drain stage (scripted world
+    /// shifts, churn, fault windows). Crowd-only by construction — the
+    /// planner half is mid-flight on another epoch when the pipelined
+    /// executor runs this.
     pub fn prologue(mut self, f: impl FnMut(u64, &mut Crowd) + Send + 'a) -> Self {
         self.prologue = Some(Box::new(f));
         self
@@ -408,42 +580,10 @@ impl<'a> EpochDriver<'a> {
         self
     }
 
-    /// Runs one epoch under the **classic schedule** (issue + execute at
-    /// the top, actions applied in-epoch) — bit-identical to the
-    /// historical `run_epoch*` family.
-    pub fn step(&mut self) -> EpochReport {
-        self.classic(None).expect("no crash point armed")
-    }
-
-    /// [`EpochDriver::step`] from recorded inputs instead of the live
-    /// crowd: dispatch draws the budgets but sends nothing, the crowd is
-    /// only stepped to advance the simulation clock (use a detached —
-    /// zero-sensor — crowd), and the recorded responses take the place of
-    /// the drained ones. Everything downstream runs exactly as live.
-    pub fn step_replayed(&mut self, inputs: ReplayInputs<'_>) -> EpochReport {
-        self.classic(Some(inputs)).expect("no crash point armed")
-    }
-
-    /// Runs one classic epoch that dies at `point` (see
-    /// [`CrashPoint`]): every mutation before the point persists, the
-    /// rest of the epoch never happens, and the tap never fires. Returns
-    /// `None` for the three in-loop points; [`CrashPoint::MidLogAppend`]
-    /// completes the epoch (the tear lives in the log writer) and
-    /// returns its report.
-    pub fn step_to_crash(&mut self, point: CrashPoint) -> Option<EpochReport> {
-        self.crash = match point {
-            CrashPoint::MidLogAppend => None,
-            p => Some((0, p)),
-        };
-        let r = self.classic(None);
-        self.crash = None;
-        r
-    }
-
-    /// Runs `epochs` slots of the **staged schedule** single-threaded —
-    /// the serial executor of the dataflow the pipelined executor spreads
+    /// Runs `epochs` slots of the staged schedule single-threaded — the
+    /// serial executor of the dataflow the pipelined executor spreads
     /// across worker threads, byte-identical to it by construction.
-    pub fn run(mut self, epochs: u64) -> RunOutcome {
+    pub fn run(self, epochs: u64) -> RunOutcome {
         self.run_horizon(epochs, None)
     }
 
@@ -451,13 +591,16 @@ impl<'a> EpochDriver<'a> {
     /// ingest, control, render) connected by bounded channels — see
     /// [`crate::pipeline`]. Byte-identical to [`EpochDriver::run`].
     pub fn run_pipelined(self, epochs: u64) -> RunOutcome {
-        crate::pipeline::run_pipelined(self, epochs)
+        crate::pipeline::run_pipelined(self, epochs, None)
     }
 
-    /// [`EpochDriver::run`] from recorded inputs (one [`ReplayInputs`]
-    /// per slot, the horizon is the slice length) — the staged-schedule
-    /// sibling of [`EpochDriver::step_replayed`].
-    pub fn run_replayed(mut self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
+    /// [`EpochDriver::run`] from recorded inputs instead of the live
+    /// crowd (one [`ReplayInputs`] per slot, the horizon is the slice
+    /// length): dispatch draws the budgets but sends nothing, the crowd
+    /// is only stepped to advance the simulation clock (use a detached —
+    /// zero-sensor — crowd), and the recorded responses take the place of
+    /// the drained ones. Everything downstream runs exactly as live.
+    pub fn run_replayed(self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
         self.run_horizon(inputs.len() as u64, Some(inputs))
     }
 
@@ -465,141 +608,15 @@ impl<'a> EpochDriver<'a> {
     /// log across the four stage workers, byte-identical to
     /// [`EpochDriver::run_replayed`].
     pub fn run_replayed_pipelined(self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
-        crate::pipeline::run_replayed_pipelined(self, inputs)
+        crate::pipeline::run_pipelined(self, inputs.len() as u64, Some(inputs))
     }
 
-    /// The classic single-epoch loop — the historical `epoch_inner`,
-    /// with dispatch split into issue + execute and the observation
-    /// owned. Returns `None` when the armed in-loop crash point fired.
-    fn classic(&mut self, replay: Option<ReplayInputs<'_>>) -> Option<EpochReport> {
-        let crash = self.crash.map(|(_, p)| p).filter(|p| *p != CrashPoint::MidLogAppend);
-        let (crowd, epoch_counter, mut core) = split(self.server);
-        let epoch = *epoch_counter;
-        *epoch_counter += 1;
-        let epoch_start = crowd.now();
-        // One clock reading per phase boundary, and only when a timer is
-        // installed: `lap` is the *only* clock access in the loop, so an
-        // uninstrumented epoch reads no clock at all.
-        // craqr-lint: allow(R1): phase latencies feed Timing-tier metrics only, never canonical_events
-        let mut phase_clock = self.timer.as_ref().map(|_| thread_busy_ns());
-        let mut lap = |timer: &mut Option<&mut dyn PhaseTimer>, phase: EpochPhase| {
-            if let Some(t) = timer.as_deref_mut() {
-                // craqr-lint: allow(R1): same Timing-tier phase span; excluded from checksummed artifacts
-                let now = thread_busy_ns();
-                let start = phase_clock.expect("clock anchored when timer installed");
-                t.observe(phase, now.saturating_sub(start));
-                phase_clock = Some(now);
-            }
-        };
-
-        // 1. Dispatch acquisition requests per materialized chain. Under
-        // replay the budgets are drawn identically but no request exists
-        // to send; the crowd-side outcome comes from the log.
-        let issued = core.issue(replay.is_some());
-        let sent = match &replay {
-            None => execute_orders(crowd, &issued.orders),
-            Some(inputs) => inputs.sent,
-        };
-        let mut dispatch = issued.stats;
-        dispatch.sent = sent;
-        core.handler.record_sent(sent);
-        let tenant_charges = issued.charges;
-        lap(&mut self.timer, EpochPhase::Dispatch);
-        if crash == Some(CrashPoint::PostDispatch) {
-            return None;
-        }
-
-        // 2. The world moves; responses mature. The replay clock advances
-        // through the same sequence of `step` calls so accumulated
-        // simulation time stays bit-identical to the live run.
-        let dt = core.config.planner.batch_duration / core.config.mobility_substeps as f64;
-        let faults_before = FaultDeltas {
-            dropped: crowd.responses_dropped(),
-            delayed: crowd.responses_delayed(),
-            duplicated: crowd.responses_duplicated(),
-        };
-        for _ in 0..core.config.mobility_substeps {
-            crowd.step(dt);
-        }
-        let faults = match &replay {
-            None => FaultDeltas {
-                dropped: crowd.responses_dropped() - faults_before.dropped,
-                delayed: crowd.responses_delayed() - faults_before.delayed,
-                duplicated: crowd.responses_duplicated() - faults_before.duplicated,
-            },
-            Some(inputs) => inputs.faults,
-        };
-        let responses = match &replay {
-            None => crowd.drain_responses(),
-            Some(inputs) => inputs.responses.to_vec(),
-        };
-        let n_responses = responses.len();
-        // The tap sees responses exactly as drained, before error
-        // injection mutates them in place. Clone only when someone is
-        // listening *and* there is no replay input to borrow from.
-        let raw_responses =
-            if self.tap.is_some() && replay.is_none() { Some(responses.clone()) } else { None };
-        if crash == Some(CrashPoint::PostDrain) {
-            return None;
-        }
-        core.observe_drained(&responses);
-        lap(&mut self.timer, EpochPhase::Drain);
-
-        // 3–6. Error injection, mitigation, ingestion, map/process,
-        // merge.
-        let (ing, _spent) = core.absorb(responses);
-        lap(&mut self.timer, EpochPhase::Ingest);
-
-        // 7. Budget tuning + the report (classic: stale_actions patched
-        // in after the hook ran, below).
-        let epoch_end = crowd.now();
-        let meta = SlotMeta {
-            epoch,
-            now: epoch_end,
-            dispatch,
-            responses: n_responses,
-            faults,
-            charges: tenant_charges,
-            stale_actions: 0,
-        };
-        let (mut report, fresh) = core.finish_report(meta, ing);
-
-        // 8. Observation/actuation: the hook sees the epoch, its actions
-        // apply inside this same epoch (the classic in-epoch control
-        // lag).
-        let obs =
-            core.observe_and_bank(&report, fresh, self.hook.is_some(), epoch_start, epoch_end);
-        let mut actions: Vec<ControlAction> = Vec::new();
-        if let Some(hook) = self.hook.as_deref_mut() {
-            actions = hook.on_epoch(obs.as_ref().expect("observation built when hook installed"));
-            report.stale_actions = core.apply_actions(&actions);
-        }
-        lap(&mut self.timer, EpochPhase::Control);
-        if crash == Some(CrashPoint::PostControl) {
-            return None;
-        }
-
-        // 9. Recording seam: the tap sees the epoch's inputs (and the
-        // actions just applied) after everything else settled.
-        if let Some(tap) = self.tap.as_deref_mut() {
-            let raw: &[SensorResponse] = match (&replay, &raw_responses) {
-                (Some(inputs), _) => inputs.responses,
-                (None, Some(raw)) => raw,
-                (None, None) => &[],
-            };
-            tap.on_epoch(&EpochInputsRecord { report: &report, responses: raw, actions: &actions });
-        }
-        lap(&mut self.timer, EpochPhase::LogAppend);
-        Some(report)
-    }
-
-    /// The staged schedule, single-threaded: the serial reference
-    /// implementation of the pipelined dataflow (see the module docs for
-    /// the slot anatomy).
-    fn run_horizon(&mut self, n: u64, replay: Option<&[ReplayInputs<'_>]>) -> RunOutcome {
-        let in_loop_crash = self.crash.filter(|(_, p)| *p != CrashPoint::MidLogAppend);
+    /// The staged schedule, single-threaded: the slot functions called in
+    /// schedule order, with the timer observing each stage span inline.
+    fn run_horizon(self, n: u64, replay: Option<&[ReplayInputs<'_>]>) -> RunOutcome {
+        let EpochDriver { server, mut hook, mut tap, mut timer, prologue, crash } = self;
         let detached = replay.is_some();
-        let (crowd, epoch_counter, mut core) = split(self.server);
+        let (mut crowd, epoch_counter, mut core) = split(server, prologue);
         let base = *epoch_counter;
         let mut outcome =
             RunOutcome { reports: Vec::with_capacity(n as usize), ..Default::default() };
@@ -613,22 +630,11 @@ impl<'a> EpochDriver<'a> {
         // is byte-inert.
         let mut pool: BatchPool<SensorResponse> = BatchPool::default();
         let mut raw_pool: BatchPool<SensorResponse> = BatchPool::default();
-        let take = |pool: &mut BatchPool<SensorResponse>, stats: &mut PoolStats| {
-            if pool.retained() > 0 {
-                stats.recycled += 1;
-            } else {
-                stats.fresh_allocations += 1;
-            }
-            pool.take()
-        };
 
         // Per-stage spans (timing tier only; zero clock reads untimed).
         // craqr-lint: allow(R1): stage spans feed Timing-tier metrics only, never canonical_events
-        let mut span_clock = self.timer.as_ref().map(|_| thread_busy_ns());
-        let mut span = |timer: &mut Option<&mut dyn PhaseTimer>,
-                        stage: PipelineStage,
-                        slot: u64,
-                        phase: EpochPhase| {
+        let mut span_clock = timer.as_ref().map(|_| thread_busy_ns());
+        let mut span = |stage: PipelineStage, slot: u64, phase: EpochPhase| {
             if let Some(t) = timer.as_deref_mut() {
                 // craqr-lint: allow(R1): same Timing-tier stage span; excluded from checksummed artifacts
                 let now = thread_busy_ns();
@@ -639,133 +645,52 @@ impl<'a> EpochDriver<'a> {
         };
 
         let mut pending = Some(core.issue(detached));
-        span(&mut self.timer, PipelineStage::Ingest, 0, EpochPhase::Dispatch);
+        span(PipelineStage::Ingest, 0, EpochPhase::Dispatch);
         let mut pending_actions: Vec<ControlAction> = Vec::new();
         for t in 0..n {
             // ── drain stage ────────────────────────────────────────────
             // A restarted process observes the epoch counter advanced as
             // soon as the slot began, crashed or not.
             *epoch_counter = base + t + 1;
-            let epoch_id = base + t;
-            if let Some(p) = &mut self.prologue {
-                p(t, crowd);
-            }
-            let epoch_start = crowd.now();
+            let input = replay.map(|inputs| &inputs[t as usize]);
             let issued = pending.take().expect("orders issued by the previous slot");
-            let sent = match replay {
-                None => execute_orders(crowd, &issued.orders),
-                Some(inputs) => inputs[t as usize].sent,
-            };
-            span(&mut self.timer, PipelineStage::Drain, t, EpochPhase::Dispatch);
-            if in_loop_crash == Some((t, CrashPoint::PostDispatch)) {
+            let mut batch = crowd.execute(t, &issued.orders, input);
+            span(PipelineStage::Drain, t, EpochPhase::Dispatch);
+            if crash == Some((t, CrashPoint::PostDispatch)) {
                 return outcome;
             }
-            let dt = core.config.planner.batch_duration / core.config.mobility_substeps as f64;
-            let faults_before = FaultDeltas {
-                dropped: crowd.responses_dropped(),
-                delayed: crowd.responses_delayed(),
-                duplicated: crowd.responses_duplicated(),
-            };
-            for _ in 0..core.config.mobility_substeps {
-                crowd.step(dt);
-            }
-            let faults = match replay {
-                None => FaultDeltas {
-                    dropped: crowd.responses_dropped() - faults_before.dropped,
-                    delayed: crowd.responses_delayed() - faults_before.delayed,
-                    duplicated: crowd.responses_duplicated() - faults_before.duplicated,
-                },
-                Some(inputs) => inputs[t as usize].faults,
-            };
-            let responses = {
-                let mut buf = take(&mut pool, &mut outcome.pool);
-                match replay {
-                    None => crowd.drain_responses_reusing(buf),
-                    Some(inputs) => {
-                        buf.clear();
-                        buf.extend_from_slice(inputs[t as usize].responses);
-                        buf
-                    }
-                }
-            };
-            let n_responses = responses.len();
-            let epoch_end = crowd.now();
-            span(&mut self.timer, PipelineStage::Drain, t, EpochPhase::Drain);
-            if in_loop_crash == Some((t, CrashPoint::PostDrain)) {
+            crowd.drain(&mut batch, input, outcome.pool.take(&mut pool));
+            span(PipelineStage::Drain, t, EpochPhase::Drain);
+            if crash == Some((t, CrashPoint::PostDrain)) {
                 return outcome;
             }
 
             // ── ingest stage ───────────────────────────────────────────
-            let mut dispatch = issued.stats;
-            dispatch.sent = sent;
-            core.handler.record_sent(sent);
-            // Epoch t-1's actions land here — after epoch t's orders
-            // already executed, before epoch t+1's are issued.
-            let stale_actions = core.apply_actions(&pending_actions);
-            core.observe_drained(&responses);
-            span(&mut self.timer, PipelineStage::Ingest, t, EpochPhase::Ingest);
+            let meta = core.begin_slot(base + t, issued, &batch, &pending_actions);
+            span(PipelineStage::Ingest, t, EpochPhase::Ingest);
             if t + 1 < n {
                 pending = Some(core.issue(detached));
             }
-            span(&mut self.timer, PipelineStage::Ingest, t, EpochPhase::Dispatch);
-            // Snapshot the raw responses for the tap before error
-            // injection mutates the buffer in place; replays borrow from
-            // the recorded inputs instead.
-            let raw = match (replay, self.tap.is_some()) {
-                (None, true) => {
-                    let mut buf = take(&mut raw_pool, &mut outcome.pool);
-                    buf.clear();
-                    buf.extend_from_slice(&responses);
-                    Some(buf)
-                }
-                _ => None,
-            };
-            let (ing, spent) = core.absorb(responses);
+            span(PipelineStage::Ingest, t, EpochPhase::Dispatch);
+            let raw = (tap.is_some() && !detached).then(|| outcome.pool.take(&mut raw_pool));
+            let (slot, spent) = core.finish_slot(meta, batch, raw, hook.is_some());
             pool.put(spent);
-            let meta = SlotMeta {
-                epoch: epoch_id,
-                now: epoch_end,
-                dispatch,
-                responses: n_responses,
-                faults,
-                charges: issued.charges,
-                stale_actions,
-            };
-            let (report, fresh) = core.finish_report(meta, ing);
-            let obs =
-                core.observe_and_bank(&report, fresh, self.hook.is_some(), epoch_start, epoch_end);
-            span(&mut self.timer, PipelineStage::Ingest, t, EpochPhase::Ingest);
+            span(PipelineStage::Ingest, t, EpochPhase::Ingest);
 
             // ── control stage ──────────────────────────────────────────
-            let actions = match self.hook.as_deref_mut() {
-                Some(hook) => {
-                    hook.on_epoch(obs.as_ref().expect("observation built when hook installed"))
-                }
-                None => Vec::new(),
-            };
-            span(&mut self.timer, PipelineStage::Control, t, EpochPhase::Control);
-            if in_loop_crash == Some((t, CrashPoint::PostControl)) {
+            let actions = control(hook.as_deref_mut(), slot.obs.as_ref());
+            span(PipelineStage::Control, t, EpochPhase::Control);
+            if crash == Some((t, CrashPoint::PostControl)) {
                 return outcome;
             }
 
             // ── render stage ───────────────────────────────────────────
-            if let Some(tap) = self.tap.as_deref_mut() {
-                let raw_slice: &[SensorResponse] = match (replay, &raw) {
-                    (Some(inputs), _) => inputs[t as usize].responses,
-                    (None, Some(buf)) => buf,
-                    (None, None) => &[],
-                };
-                tap.on_epoch(&EpochInputsRecord {
-                    report: &report,
-                    responses: raw_slice,
-                    actions: &actions,
-                });
-            }
-            if let Some(buf) = raw {
+            render(tap.as_deref_mut(), input, &slot, &actions);
+            if let Some(buf) = slot.raw {
                 raw_pool.put(buf);
             }
-            span(&mut self.timer, PipelineStage::Render, t, EpochPhase::LogAppend);
-            outcome.reports.push(report);
+            span(PipelineStage::Render, t, EpochPhase::LogAppend);
+            outcome.reports.push(slot.report);
             pending_actions = actions;
         }
         // The final epoch's actions land on a server no further epoch

@@ -297,42 +297,6 @@ impl RequestResponseHandler {
         }
     }
 
-    /// Sends this epoch's acquisition requests for every demanded
-    /// (cell, attribute) chain.
-    ///
-    /// `demands` comes from [`crate::plan::Fabricator::demands`]; budgets
-    /// for chains that disappeared are pruned so deleted queries stop
-    /// costing requests.
-    pub fn dispatch_epoch(
-        &mut self,
-        crowd: &mut Crowd,
-        grid: &Grid,
-        demands: &[(CellId, AttributeId, f64)],
-    ) -> DispatchStats {
-        self.dispatch_epoch_tenants(crowd, grid, demands, None)
-    }
-
-    /// [`RequestResponseHandler::dispatch_epoch`] under a tenant-charging
-    /// context: each chain's drawn request count is clamped to what its
-    /// owning tenants' pools can still cover this epoch
-    /// ([`TenantRegistry::allow`]), the dispatched count is charged to
-    /// those tenants by share, and the withheld remainder is reported as
-    /// [`DispatchStats::throttled`]. With `tenancy = None` this is
-    /// bit-identical to the plain dispatch.
-    pub fn dispatch_epoch_tenants(
-        &mut self,
-        crowd: &mut Crowd,
-        grid: &Grid,
-        demands: &[(CellId, AttributeId, f64)],
-        tenancy: Tenancy<'_>,
-    ) -> DispatchStats {
-        let (orders, mut stats) = self.issue_epoch_orders(Some(grid), demands, tenancy);
-        let sent = execute_orders(crowd, &orders);
-        stats.sent = sent;
-        self.record_sent(sent);
-        stats
-    }
-
     /// The issuing half of a dispatch: prunes state for dematerialized
     /// chains, draws every demanded chain's budget (plus pending retry
     /// top-ups), clamps and charges against tenant pools, and materializes
@@ -404,24 +368,6 @@ impl RequestResponseHandler {
     /// fused dispatch loop performed inline.
     pub fn record_sent(&mut self, sent: u64) {
         self.total_sent += sent;
-    }
-
-    /// The crowd-detached twin of
-    /// [`RequestResponseHandler::dispatch_epoch`], for replaying a
-    /// recorded run: budgets are pruned and drawn **identically** to a
-    /// live dispatch (so the handler's state evolves bit-for-bit the same
-    /// way), but no request is sent anywhere — the crowd-side outcome
-    /// `sent` comes from the run log instead of a live crowd.
-    pub fn dispatch_epoch_detached(
-        &mut self,
-        demands: &[(CellId, AttributeId, f64)],
-        sent: u64,
-        tenancy: Tenancy<'_>,
-    ) -> DispatchStats {
-        let (_, mut stats) = self.issue_epoch_orders(None, demands, tenancy);
-        stats.sent = sent;
-        self.record_sent(sent);
-        stats
     }
 
     /// Applies one budget-tuning round from the flatten reports
@@ -555,13 +501,26 @@ mod tests {
         RequestResponseHandler::new(BudgetTuner::default(), IncentivePolicy::default(), 10.0)
     }
 
+    /// Issues and executes one epoch's dispatch, as the epoch driver does.
+    fn dispatch(
+        h: &mut RequestResponseHandler,
+        c: &mut Crowd,
+        grid: &Grid,
+        demands: &[(CellId, AttributeId, f64)],
+    ) -> DispatchStats {
+        let (orders, mut stats) = h.issue_epoch_orders(Some(grid), demands, None);
+        stats.sent = execute_orders(c, &orders);
+        h.record_sent(stats.sent);
+        stats
+    }
+
     #[test]
     fn dispatch_creates_budgets_and_sends() {
         let mut h = handler();
         let mut c = crowd();
         let grid = Grid::new(c.region(), 4);
         let demands = vec![(CellId::new(0, 0), AttributeId(0), 2.0)];
-        let stats = h.dispatch_epoch(&mut c, &grid, &demands);
+        let stats = dispatch(&mut h, &mut c, &grid, &demands);
         assert_eq!(stats.requested, 10);
         assert!(stats.sent > 0);
         assert_eq!(h.budget_of(CellId::new(0, 0), AttributeId(0)), Some(10.0));
@@ -573,10 +532,10 @@ mod tests {
         let mut c = crowd();
         let grid = Grid::new(c.region(), 4);
         let d1 = vec![(CellId::new(0, 0), AttributeId(0), 2.0)];
-        h.dispatch_epoch(&mut c, &grid, &d1);
+        dispatch(&mut h, &mut c, &grid, &d1);
         assert!(h.budget_of(CellId::new(0, 0), AttributeId(0)).is_some());
         // Next epoch the demand is gone.
-        h.dispatch_epoch(&mut c, &grid, &[]);
+        dispatch(&mut h, &mut c, &grid, &[]);
         assert!(h.budget_of(CellId::new(0, 0), AttributeId(0)).is_none());
     }
 

@@ -110,29 +110,31 @@ impl PipelineStage {
     }
 }
 
-/// Observes per-phase thread-CPU durations for one epoch at a time.
+/// Observes per-phase thread-CPU durations, one stage span at a time.
 ///
-/// Installed via [`crate::EpochDriver::timer`]. The driver calls
-/// [`PhaseTimer::observe`] once per [`EpochPhase`] per epoch, in loop
-/// order, with the phase's elapsed thread-CPU nanoseconds.
+/// Installed via [`crate::EpochDriver::timer`]. Both executors report
+/// every span through [`PhaseTimer::observe_stage`], tagged with the
+/// stage that ran it and the epoch slot it belonged to: the serial
+/// executor inline at each stage boundary, the pipelined executor after
+/// its workers join, in `(slot, stage)` order. A slot can report several
+/// spans of one phase (the ingest stage laps [`EpochPhase::Ingest`]
+/// twice, issuing the next slot's orders in between), so a timer that
+/// wants one value per phase per epoch sums a slot's spans.
 /// Implementations must not feed the values back into anything
 /// checksummed (see the module docs for the contract).
 /// `Send` is a supertrait because the pipelined executor runs the timer's
 /// replay on the driver thread after stage workers join — every
 /// implementor is plain data, so the bound costs nothing.
 pub trait PhaseTimer: Send {
-    /// Records that `phase` took `nanos` thread-CPU nanoseconds this
-    /// epoch.
+    /// Records that `phase` took `nanos` thread-CPU nanoseconds.
     fn observe(&mut self, phase: EpochPhase, nanos: u64);
 
-    /// Pipelined-executor variant of [`PhaseTimer::observe`]: the same
-    /// span, attributed to the stage worker that ran it, tagged with the
-    /// epoch slot it belonged to. Stages record spans thread-locally and
-    /// the driver replays them through this method after the workers
-    /// join, in `(slot, stage)` order. The default forwards to `observe`,
-    /// so phase-only timers keep working unchanged; stage-aware timers
-    /// (the pipeline bench's critical-path model, per-stage telemetry)
-    /// override it for the extra dimensions.
+    /// Records one stage span: `phase` took `nanos` thread-CPU
+    /// nanoseconds on `stage` during epoch slot `slot`. The default
+    /// forwards every span to [`PhaseTimer::observe`], so phase-only
+    /// timers keep working unchanged; stage-aware timers (the pipeline
+    /// bench's critical-path model, per-epoch telemetry) override it for
+    /// the extra dimensions.
     fn observe_stage(&mut self, _stage: PipelineStage, _slot: u64, phase: EpochPhase, nanos: u64) {
         self.observe(phase, nanos);
     }

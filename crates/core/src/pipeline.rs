@@ -24,14 +24,18 @@
 //!                        S4 render (tap / log append) ── raw buffers ──▶ S2
 //! ```
 //!
-//! Every message is tagged with its epoch id; data channels are bounded
-//! (`sync_channel(2)`) so a fast stage can run at most a couple of
-//! epochs ahead, and buffer-return channels flow upstream so the hot
-//! path recycles allocations ([`crate::driver::PoolStats`]).
+//! Channels are FIFO, so every message arrives in slot order; data
+//! channels are bounded (`sync_channel(2)`) so a fast stage can run at
+//! most a couple of epochs ahead, and buffer-return channels flow
+//! upstream so the hot path recycles allocations
+//! ([`crate::driver::PoolStats`]).
 //!
 //! # Why the bytes cannot change
 //!
-//! Each stage *owns* its state: S1 the crowd, S2 the planner half
+//! The stage bodies are the slot functions of [`crate::driver`], the
+//! same ones the serial executor calls in schedule order; this module
+//! adds only the channels, the threads, the crash wind-down and the span
+//! replay. Each stage *owns* its state: S1 the crowd, S2 the planner half
 //! ([`crate::driver`]'s `EpochCore`), S3 the hook, S4 the tap. No state
 //! is shared, so every mutation happens in the same order as the serial
 //! staged schedule — the channels only move owned values forward. The
@@ -58,56 +62,20 @@
 //! timer is installed; nothing clock-derived reaches a checksummed
 //! artifact.
 
-use crate::driver::{EpochDriver, PoolStats, RunOutcome};
-use crate::exec::thread_busy_ns;
-use crate::handler::{execute_orders, SendOrder};
-use crate::phase::{EpochPhase, PipelineStage};
-use crate::server::{
-    ControlAction, CrashPoint, EpochInputsRecord, EpochObservation, EpochReport, FaultDeltas,
-    ReplayInputs,
+use crate::driver::{
+    control, render, DrainedBatch, EpochDriver, IngestedSlot, PoolStats, RunOutcome,
 };
+use crate::exec::thread_busy_ns;
+use crate::handler::SendOrder;
+use crate::phase::{EpochPhase, PipelineStage};
+use crate::server::{ControlAction, CrashPoint, ReplayInputs};
 use craqr_engine::BatchPool;
 use craqr_sensing::SensorResponse;
 use std::sync::mpsc::{channel, sync_channel};
 
-/// Dispatch orders for one epoch, issued on S2, executed on S1.
-struct OrderMsg {
-    epoch: u64,
-    orders: Vec<SendOrder>,
-}
-
-/// One epoch's crowd-side outcome, drained on S1, ingested on S2.
-struct DrainedBatch {
-    epoch: u64,
-    sent: u64,
-    faults: FaultDeltas,
-    responses: Vec<SensorResponse>,
-    epoch_start: f64,
-    epoch_end: f64,
-}
-
-/// One finished epoch's report + observation, S2 → S3.
-struct ObsMsg {
-    epoch: u64,
-    report: EpochReport,
-    /// Raw (pre-corruption) responses for the tap; `None` when no tap
-    /// listens or a replay borrows them from the recorded inputs.
-    raw: Option<Vec<SensorResponse>>,
-    /// Built only when a hook is installed.
-    obs: Option<EpochObservation>,
-}
-
-/// The hook's actions for one epoch, S3 → S2 (applied next slot).
-struct ActMsg {
-    epoch: u64,
-    actions: Vec<ControlAction>,
-}
-
 /// One epoch's record for the tap, S3 → S4.
 struct TapMsg {
-    epoch: u64,
-    report: EpochReport,
-    raw: Option<Vec<SensorResponse>>,
+    slot: IngestedSlot,
     actions: Vec<ControlAction>,
 }
 
@@ -148,21 +116,10 @@ impl StageClock {
 /// this many epochs ahead of its consumer before blocking.
 const STAGE_DEPTH: usize = 2;
 
-/// Runs the staged schedule across four worker threads. Byte-identical
-/// to [`EpochDriver::run`] — see the module docs for the argument.
-pub(crate) fn run_pipelined(driver: EpochDriver<'_>, epochs: u64) -> RunOutcome {
-    run_pipelined_inner(driver, epochs, None)
-}
-
-/// The replayed sibling: recorded inputs stand in for the crowd.
-pub(crate) fn run_replayed_pipelined(
-    driver: EpochDriver<'_>,
-    inputs: &[ReplayInputs<'_>],
-) -> RunOutcome {
-    run_pipelined_inner(driver, inputs.len() as u64, Some(inputs))
-}
-
-fn run_pipelined_inner(
+/// Runs the staged schedule across four worker threads, live or from
+/// recorded inputs. Byte-identical to the serial executor — see the
+/// module docs for the argument.
+pub(crate) fn run_pipelined(
     driver: EpochDriver<'_>,
     n: u64,
     replay: Option<&[ReplayInputs<'_>]>,
@@ -174,89 +131,52 @@ fn run_pipelined_inner(
     let has_hook = hook.is_some();
     let has_tap = tap.is_some();
     let timed = timer.is_some();
-    let (crowd, epoch_counter, core) = crate::driver::split(server);
+    let (crowd, epoch_counter, core) = crate::driver::split(server, prologue);
     let base = *epoch_counter;
-    let dt = core.config.planner.batch_duration / core.config.mobility_substeps as f64;
-    let steps = core.config.mobility_substeps;
     if n == 0 {
         return RunOutcome { completed: true, ..Default::default() };
     }
-    let mut prologue = prologue;
 
-    let (order_tx, order_rx) = sync_channel::<OrderMsg>(STAGE_DEPTH);
+    let (order_tx, order_rx) = sync_channel::<Vec<SendOrder>>(STAGE_DEPTH);
     let (batch_tx, batch_rx) = sync_channel::<DrainedBatch>(STAGE_DEPTH);
-    let (obs_tx, obs_rx) = sync_channel::<ObsMsg>(STAGE_DEPTH);
-    let (act_tx, act_rx) = sync_channel::<ActMsg>(STAGE_DEPTH);
+    let (obs_tx, obs_rx) = sync_channel::<IngestedSlot>(STAGE_DEPTH);
+    let (act_tx, act_rx) = sync_channel::<Vec<ControlAction>>(STAGE_DEPTH);
     let (tap_tx, tap_rx) = sync_channel::<TapMsg>(STAGE_DEPTH);
     // Buffer-return channels flow upstream, unbounded (returns never
     // block; depth is naturally capped by the data channels).
     let (pool_tx, pool_rx) = channel::<Vec<SensorResponse>>();
     let (raw_tx, raw_rx) = channel::<Vec<SensorResponse>>();
 
-    let (s1, s2, s3, s4) = std::thread::scope(|s| {
+    let (
+        (drain_stats, drain_pooled, drain_spans),
+        (ingest_stats, ingest_pooled, ingest_spans),
+        control_spans,
+        (reports, render_spans),
+    ) = std::thread::scope(|s| {
         // ── S1: drain — owns the crowd ────────────────────────────────
-        let drain = s.spawn(move || {
-            let crowd = crowd;
+        let drain_worker = s.spawn(move || {
+            let mut crowd = crowd;
             let mut pool: BatchPool<SensorResponse> = BatchPool::default();
             let mut stats = PoolStats::default();
             let mut clock = StageClock::new(timed);
             for t in 0..n {
-                let Ok(order) = order_rx.recv() else { break };
+                let Ok(orders) = order_rx.recv() else { break };
                 clock.reset();
-                debug_assert_eq!(order.epoch, t, "orders arrive in slot order");
-                if let Some(p) = &mut prologue {
-                    p(t, crowd);
-                }
-                let epoch_start = crowd.now();
-                let sent = match replay {
-                    None => execute_orders(crowd, &order.orders),
-                    Some(inputs) => inputs[t as usize].sent,
-                };
+                let input = replay.map(|inputs| &inputs[t as usize]);
+                let mut batch = crowd.execute(t, &orders, input);
                 clock.lap(t, EpochPhase::Dispatch);
                 if in_loop == Some((t, CrashPoint::PostDispatch)) {
                     break;
                 }
-                let faults_before = FaultDeltas {
-                    dropped: crowd.responses_dropped(),
-                    delayed: crowd.responses_delayed(),
-                    duplicated: crowd.responses_duplicated(),
-                };
-                for _ in 0..steps {
-                    crowd.step(dt);
-                }
-                let faults = match replay {
-                    None => FaultDeltas {
-                        dropped: crowd.responses_dropped() - faults_before.dropped,
-                        delayed: crowd.responses_delayed() - faults_before.delayed,
-                        duplicated: crowd.responses_duplicated() - faults_before.duplicated,
-                    },
-                    Some(inputs) => inputs[t as usize].faults,
-                };
                 while let Ok(buf) = pool_rx.try_recv() {
                     pool.put(buf);
                 }
-                if pool.retained() > 0 {
-                    stats.recycled += 1;
-                } else {
-                    stats.fresh_allocations += 1;
-                }
-                let mut buf = pool.take();
-                let responses = match replay {
-                    None => crowd.drain_responses_reusing(buf),
-                    Some(inputs) => {
-                        buf.clear();
-                        buf.extend_from_slice(inputs[t as usize].responses);
-                        buf
-                    }
-                };
-                let epoch_end = crowd.now();
+                crowd.drain(&mut batch, input, stats.take(&mut pool));
                 clock.lap(t, EpochPhase::Drain);
                 if in_loop == Some((t, CrashPoint::PostDrain)) {
                     break;
                 }
-                let msg =
-                    DrainedBatch { epoch: t, sent, faults, responses, epoch_start, epoch_end };
-                if batch_tx.send(msg).is_err() {
+                if batch_tx.send(batch).is_err() {
                     break;
                 }
             }
@@ -274,88 +194,50 @@ fn run_pipelined_inner(
         });
 
         // ── S2: ingest — owns the planner half ────────────────────────
-        let ingest = s.spawn(move || {
+        let ingest_worker = s.spawn(move || {
             let mut core = core;
             let mut raw_pool: BatchPool<SensorResponse> = BatchPool::default();
             let mut stats = PoolStats::default();
             let mut clock = StageClock::new(timed);
             let mut issued0 = core.issue(detached);
             clock.lap(0, EpochPhase::Dispatch);
-            let _ =
-                order_tx.send(OrderMsg { epoch: 0, orders: std::mem::take(&mut issued0.orders) });
+            let _ = order_tx.send(std::mem::take(&mut issued0.orders));
             let mut pending = Some(issued0);
+            let mut actions = Vec::new();
             let mut clean_exit = true;
             for t in 0..n {
                 let Ok(batch) = batch_rx.recv() else {
                     clean_exit = false;
                     break;
                 };
-                clock.reset();
-                debug_assert_eq!(batch.epoch, t, "batches arrive in slot order");
-                let issued = pending.take().expect("orders issued by the previous slot");
-                let mut dispatch = issued.stats;
-                dispatch.sent = batch.sent;
-                core.handler.record_sent(batch.sent);
-                // Epoch t-1's actions land here — after epoch t's orders
-                // already executed, before epoch t+1's are issued.
-                let stale_actions = if t >= 1 {
-                    let Ok(act) = act_rx.recv() else {
+                debug_assert_eq!(batch.slot, t, "batches arrive in slot order");
+                if t >= 1 {
+                    let Ok(previous) = act_rx.recv() else {
                         clean_exit = false;
                         break;
                     };
-                    debug_assert_eq!(act.epoch, t - 1, "actions arrive one slot behind");
-                    core.apply_actions(&act.actions)
-                } else {
-                    0
-                };
-                core.observe_drained(&batch.responses);
+                    actions = previous;
+                }
+                clock.reset();
+                let issued = pending.take().expect("orders issued by the previous slot");
+                let meta = core.begin_slot(base + t, issued, &batch, &actions);
                 clock.lap(t, EpochPhase::Ingest);
                 if t + 1 < n {
                     let mut next = core.issue(detached);
                     clock.lap(t, EpochPhase::Dispatch);
-                    let _ = order_tx
-                        .send(OrderMsg { epoch: t + 1, orders: std::mem::take(&mut next.orders) });
+                    let _ = order_tx.send(std::mem::take(&mut next.orders));
                     pending = Some(next);
                 }
-                // Snapshot raw responses for the tap before corruption;
-                // replays borrow from the recorded inputs on S4 instead.
-                let raw = if has_tap && replay.is_none() {
+                let raw = (has_tap && !detached).then(|| {
                     while let Ok(buf) = raw_rx.try_recv() {
                         raw_pool.put(buf);
                     }
-                    if raw_pool.retained() > 0 {
-                        stats.recycled += 1;
-                    } else {
-                        stats.fresh_allocations += 1;
-                    }
-                    let mut buf = raw_pool.take();
-                    buf.extend_from_slice(&batch.responses);
-                    Some(buf)
-                } else {
-                    None
-                };
-                let n_responses = batch.responses.len();
-                let (ing, spent) = core.absorb(batch.responses);
+                    stats.take(&mut raw_pool)
+                });
+                let (slot, spent) = core.finish_slot(meta, batch, raw, has_hook);
                 let _ = pool_tx.send(spent);
-                let meta = crate::driver::SlotMeta {
-                    epoch: base + t,
-                    now: batch.epoch_end,
-                    dispatch,
-                    responses: n_responses,
-                    faults: batch.faults,
-                    charges: issued.charges,
-                    stale_actions,
-                };
-                let (report, fresh) = core.finish_report(meta, ing);
-                let obs = core.observe_and_bank(
-                    &report,
-                    fresh,
-                    has_hook,
-                    batch.epoch_start,
-                    batch.epoch_end,
-                );
                 clock.lap(t, EpochPhase::Ingest);
-                if obs_tx.send(ObsMsg { epoch: t, report, raw, obs }).is_err() {
+                if obs_tx.send(slot).is_err() {
                     clean_exit = false;
                     break;
                 }
@@ -364,9 +246,8 @@ fn run_pipelined_inner(
             // a crashed run abandons them exactly like the serial
             // executor.
             if clean_exit {
-                if let Ok(act) = act_rx.recv() {
-                    debug_assert_eq!(act.epoch, n - 1);
-                    core.apply_actions(&act.actions);
+                if let Ok(last) = act_rx.recv() {
+                    core.apply_actions(&last);
                 }
             }
             // Wind-down mirror of S1: drop the observation sender so the
@@ -380,25 +261,21 @@ fn run_pipelined_inner(
         });
 
         // ── S3: control — owns the hook ───────────────────────────────
-        let control = s.spawn(move || {
+        let control_worker = s.spawn(move || {
             let mut hook = hook;
             let mut clock = StageClock::new(timed);
-            while let Ok(msg) = obs_rx.recv() {
+            while let Ok(slot) = obs_rx.recv() {
                 clock.reset();
-                let t = msg.epoch;
-                let actions = match (&mut hook, &msg.obs) {
-                    (Some(h), Some(obs)) => h.on_epoch(obs),
-                    _ => Vec::new(),
-                };
+                let t = slot.slot;
+                let actions = control(hook.as_deref_mut(), slot.obs.as_ref());
                 clock.lap(t, EpochPhase::Control);
                 if in_loop == Some((t, CrashPoint::PostControl)) {
                     // Die before anything downstream observes epoch t:
                     // no actions back, no record forward.
                     break;
                 }
-                let _ = act_tx.send(ActMsg { epoch: t, actions: actions.clone() });
-                let msg = TapMsg { epoch: t, report: msg.report, raw: msg.raw, actions };
-                if tap_tx.send(msg).is_err() {
+                let _ = act_tx.send(actions.clone());
+                if tap_tx.send(TapMsg { slot, actions }).is_err() {
                     break;
                 }
             }
@@ -406,45 +283,35 @@ fn run_pipelined_inner(
         });
 
         // ── S4: render — owns the tap ─────────────────────────────────
-        let render = s.spawn(move || {
+        let render_worker = s.spawn(move || {
             let mut tap = tap;
             let mut reports = Vec::with_capacity(n as usize);
             let mut clock = StageClock::new(timed);
-            while let Ok(msg) = tap_rx.recv() {
+            while let Ok(TapMsg { slot, actions }) = tap_rx.recv() {
                 clock.reset();
-                if let Some(t) = tap.as_deref_mut() {
-                    let raw: &[SensorResponse] = match (replay, &msg.raw) {
-                        (Some(inputs), _) => inputs[msg.epoch as usize].responses,
-                        (None, Some(buf)) => buf,
-                        (None, None) => &[],
-                    };
-                    t.on_epoch(&EpochInputsRecord {
-                        report: &msg.report,
-                        responses: raw,
-                        actions: &msg.actions,
-                    });
-                }
-                if let Some(buf) = msg.raw {
+                let t = slot.slot;
+                render(
+                    tap.as_deref_mut(),
+                    replay.map(|inputs| &inputs[t as usize]),
+                    &slot,
+                    &actions,
+                );
+                if let Some(buf) = slot.raw {
                     let _ = raw_tx.send(buf);
                 }
-                clock.lap(msg.epoch, EpochPhase::LogAppend);
-                reports.push(msg.report);
+                clock.lap(t, EpochPhase::LogAppend);
+                reports.push(slot.report);
             }
             (reports, clock.spans)
         });
 
         (
-            drain.join().expect("drain stage"),
-            ingest.join().expect("ingest stage"),
-            control.join().expect("control stage"),
-            render.join().expect("render stage"),
+            drain_worker.join().expect("drain stage"),
+            ingest_worker.join().expect("ingest stage"),
+            control_worker.join().expect("control stage"),
+            render_worker.join().expect("render stage"),
         )
     });
-
-    let (drain_stats, drain_pooled, drain_spans) = s1;
-    let (ingest_stats, ingest_pooled, ingest_spans) = s2;
-    let control_spans = s3;
-    let (reports, render_spans) = s4;
 
     // A restarted process observes the crashed slot's counter advance,
     // exactly like the serial executor.
@@ -453,22 +320,20 @@ fn run_pipelined_inner(
     if let Some(timer) = timer {
         // Replay the stage-local spans in (slot, stage) order on the
         // driver thread — stage-aware timers see the same stream the
-        // serial staged run produces.
-        let lists: [(PipelineStage, &SpanList); 4] = [
-            (PipelineStage::Drain, &drain_spans),
-            (PipelineStage::Ingest, &ingest_spans),
-            (PipelineStage::Control, &control_spans),
-            (PipelineStage::Render, &render_spans),
-        ];
-        let mut idx = [0usize; 4];
-        for t in 0..n {
-            for (i, (stage, spans)) in lists.iter().enumerate() {
-                while idx[i] < spans.len() && spans[idx[i]].0 == t {
-                    let (slot, phase, ns) = spans[idx[i]];
-                    timer.observe_stage(*stage, slot, phase, ns);
-                    idx[i] += 1;
-                }
-            }
+        // serial staged run produces. The sort is stable, so each stage
+        // keeps its lap order within a slot.
+        let mut spans: Vec<(u64, PipelineStage, EpochPhase, u64)> = [
+            (PipelineStage::Drain, drain_spans),
+            (PipelineStage::Ingest, ingest_spans),
+            (PipelineStage::Control, control_spans),
+            (PipelineStage::Render, render_spans),
+        ]
+        .into_iter()
+        .flat_map(|(stage, spans)| spans.into_iter().map(move |(t, p, ns)| (t, stage, p, ns)))
+        .collect();
+        spans.sort_by_key(|span| span.0);
+        for (slot, stage, phase, ns) in spans {
+            timer.observe_stage(stage, slot, phase, ns);
         }
     }
 
@@ -542,27 +407,32 @@ mod tests {
         // the horizon.
         // A buffer not in the pool is in the batch channel (≤ depth) or
         // in the ingest stage's hands (1), so fresh allocations can never
-        // exceed depth + 2 — no matter how long the horizon runs.
+        // exceed depth + 2 — no matter how long the horizon runs. The
+        // serial executor recycles each slot's buffer within the slot,
+        // so the same bound holds for it a fortiori.
         let cap = super::STAGE_DEPTH as u64 + 2;
-        let long = server(400).driver().run_pipelined(48);
-        assert!(long.pool.fresh_allocations > 0, "the first epochs must allocate");
-        assert!(
-            long.pool.fresh_allocations <= cap,
-            "allocations must not scale with the horizon: {:?} (cap {cap})",
-            long.pool
-        );
-        assert!(
-            long.pool.recycled >= 48 - cap,
-            "every steady-state epoch recycles: {:?}",
-            long.pool
-        );
-        // The blocking wind-down drain parks every buffer ever allocated
-        // back in a pool — none leak into the closed channels.
-        assert_eq!(
-            long.pooled_buffers() as u64,
-            long.pool.fresh_allocations,
-            "all allocated buffers come to rest: {:?}",
-            long.pool
-        );
+        for pipelined in [false, true] {
+            let mut s = server(400);
+            let long = if pipelined { s.driver().run_pipelined(48) } else { s.driver().run(48) };
+            assert!(long.pool.fresh_allocations > 0, "the first epochs must allocate");
+            assert!(
+                long.pool.fresh_allocations <= cap,
+                "allocations must not scale with the horizon (pipelined={pipelined}): {:?} (cap {cap})",
+                long.pool
+            );
+            assert!(
+                long.pool.recycled >= 48 - cap,
+                "every steady-state epoch recycles (pipelined={pipelined}): {:?}",
+                long.pool
+            );
+            // Every buffer ever allocated comes back to rest in a pool —
+            // none leak into the closed channels or the dropped slots.
+            assert_eq!(
+                long.pooled_buffers() as u64,
+                long.pool.fresh_allocations,
+                "all allocated buffers come to rest (pipelined={pipelined}): {:?}",
+                long.pool
+            );
+        }
     }
 }

@@ -462,8 +462,8 @@ pub enum CrashPoint {
     /// After the crowd advanced and its matured responses were drained,
     /// before error injection or ingestion touched them.
     PostDrain,
-    /// After the control hook observed the epoch and its actions were
-    /// applied, an instant before the recording tap fires.
+    /// After the control hook observed the epoch and emitted its
+    /// actions, an instant before the recording tap fires.
     PostControl,
     /// Not a point in the server loop at all: the epoch completes (tap
     /// included) and the *log writer* dies midway through appending the
@@ -505,9 +505,8 @@ impl fmt::Display for CrashPoint {
 }
 
 /// The recorded crowd-side inputs of one epoch, fed back into
-/// [`crate::EpochDriver::step_replayed`] (or a whole-horizon
-/// [`crate::EpochDriver::run_replayed`]) to re-drive the loop without a
-/// live crowd.
+/// [`crate::EpochDriver::run_replayed`] (one per slot) to re-drive the
+/// loop without a live crowd.
 pub struct ReplayInputs<'a> {
     /// Requests the crowd actually received at dispatch (the crowd-side
     /// outcome the detached server cannot recompute).
@@ -716,7 +715,8 @@ impl CraqrServer {
         Ok(leftovers)
     }
 
-    /// Runs one epoch of the Fig. 1 loop:
+    /// Runs one epoch of the Fig. 1 loop — a one-slot horizon of the
+    /// staged schedule (see [`crate::driver`]):
     /// dispatch → crowd advances → responses → errors/mitigation →
     /// ingestion (map) → per-cell processing → per-query merge → budget
     /// tuning.
@@ -725,8 +725,11 @@ impl CraqrServer {
     }
 
     /// Runs one epoch with an optional [`ControlHook`] observing the
-    /// result and injecting [`ControlAction`]s before the next epoch —
-    /// the closed-loop variant of [`CraqrServer::run_epoch`].
+    /// result — the closed-loop variant of [`CraqrServer::run_epoch`].
+    /// The hook's [`ControlAction`]s are applied when the one-slot
+    /// horizon ends, so they shape the next epoch; their stale count
+    /// lands in no report (drive a longer horizon through
+    /// [`CraqrServer::driver`] to see it in the following epoch's).
     ///
     /// Every other seam combination (tap, timer, crash injection,
     /// replay, multi-epoch horizons, the pipelined executor) lives on the
@@ -737,7 +740,7 @@ impl CraqrServer {
         if let Some(hook) = hook {
             driver = driver.hook(hook);
         }
-        driver.step()
+        driver.run(1).reports.pop().expect("a one-slot horizon reports one epoch")
     }
 
     /// Starts building an epoch driver over this server — the one entry
@@ -1002,13 +1005,10 @@ mod tests {
         let run = |tap: Option<&mut CollectTap>| {
             let mut s = server(300);
             let qid = s.submit("ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5").unwrap();
-            let mut tap = tap;
-            for _ in 0..6 {
-                match tap.as_deref_mut() {
-                    Some(t) => s.driver().tap(t).step(),
-                    None => s.run_epoch(),
-                };
-            }
+            match tap {
+                Some(t) => s.driver().tap(t).run(6),
+                None => s.driver().run(6),
+            };
             s.take_output(qid).iter().map(|t| t.id).collect::<Vec<_>>()
         };
         let mut tap = CollectTap::default();
@@ -1023,10 +1023,7 @@ mod tests {
         let mut live = server(400);
         let qid = live.submit("ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.8").unwrap();
         let mut tap = CollectTap::default();
-        let mut live_reports = Vec::new();
-        for _ in 0..8 {
-            live_reports.push(live.driver().tap(&mut tap).step());
-        }
+        let live_reports = live.driver().tap(&mut tap).run(8).reports;
         let live_out: Vec<u64> = live.take_output(qid).iter().map(|t| t.id).collect();
 
         // Replay into a server over a *detached* (zero-sensor) crowd.
@@ -1046,12 +1043,18 @@ mod tests {
         let rqid = replayed.submit("ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.8").unwrap();
         assert_eq!(qid, rqid, "query planning must not depend on the crowd");
 
-        for (live_report, (sent, responses, _)) in live_reports.iter().zip(&tap.epochs) {
-            let r = replayed.driver().step_replayed(ReplayInputs {
+        let inputs: Vec<ReplayInputs<'_>> = tap
+            .epochs
+            .iter()
+            .map(|(sent, responses, _)| ReplayInputs {
                 sent: *sent,
                 responses,
                 faults: FaultDeltas::default(),
-            });
+            })
+            .collect();
+        let replayed_reports = replayed.driver().run_replayed(&inputs).reports;
+        assert_eq!(replayed_reports.len(), live_reports.len());
+        for (live_report, r) in live_reports.iter().zip(&replayed_reports) {
             assert_eq!(r.epoch, live_report.epoch);
             assert_eq!(r.dispatch, live_report.dispatch, "epoch {}", r.epoch);
             assert_eq!(r.responses, live_report.responses, "epoch {}", r.epoch);
@@ -1214,11 +1217,13 @@ mod tests {
         s.run_epoch_with(Some(&mut hook));
         assert!(s.handler().budget_of(cell, attr).is_some(), "chain live, budget live");
 
-        // Retire the chain, then let the (now stale) replan fire.
+        // Retire the chain, then let the (now stale) replan fire. The
+        // actions emitted for one epoch apply during the next slot, so
+        // the second epoch's report carries their stale count.
         s.delete_query(qid).unwrap();
         hook.target = Some((cell, attr));
-        let report = s.run_epoch_with(Some(&mut hook));
-        assert_eq!(report.stale_actions, 2, "both stale actuations surfaced");
+        let reports = s.driver().hook(&mut hook).run(2).reports;
+        assert_eq!(reports[1].stale_actions, 2, "both stale actuations surfaced");
         assert_eq!(
             s.handler().budget_of(cell, attr),
             None,

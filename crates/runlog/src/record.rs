@@ -143,9 +143,7 @@ mod tests {
         let qid = live.submit("ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.8").unwrap();
         let mut recorder = RunLogRecorder::new("unit", 7, "name = \"unit\"\n");
         recorder.record_shift(ShiftEvent::Participation { factor: 1.0 });
-        for _ in 0..6 {
-            live.driver().tap(&mut recorder).step();
-        }
+        live.driver().tap(&mut recorder).run(6);
         let live_ids: Vec<u64> = live.take_output(qid).iter().map(|t| t.id).collect();
         let log = recorder.finish(0xABCD, None);
         assert_eq!(log.epochs.len(), 6);
@@ -162,14 +160,22 @@ mod tests {
         assert_eq!(qid, rqid);
         let mut rerecorder = RunLogRecorder::new("unit", 7, "name = \"unit\"\n");
         rerecorder.record_shift(ShiftEvent::Participation { factor: 1.0 });
-        for e in &reparsed.epochs {
-            let responses: Vec<_> = e.responses.iter().map(|r| r.to_response()).collect();
-            replayed.driver().tap(&mut rerecorder).step_replayed(craqr_core::ReplayInputs {
+        let responses: Vec<Vec<_>> = reparsed
+            .epochs
+            .iter()
+            .map(|e| e.responses.iter().map(|r| r.to_response()).collect())
+            .collect();
+        let inputs: Vec<_> = reparsed
+            .epochs
+            .iter()
+            .zip(&responses)
+            .map(|(e, responses)| craqr_core::ReplayInputs {
                 sent: e.sent,
-                responses: &responses,
+                responses,
                 faults: e.faults(),
-            });
-        }
+            })
+            .collect();
+        replayed.driver().tap(&mut rerecorder).run_replayed(&inputs);
         let replay_ids: Vec<u64> = replayed.take_output(qid).iter().map(|t| t.id).collect();
         assert_eq!(live_ids, replay_ids, "replayed delivery stream diverged");
 

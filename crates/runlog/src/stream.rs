@@ -248,7 +248,7 @@ mod tests {
             if tear_at == Some(e) {
                 rec.tear_next_append();
             }
-            live.driver().tap(&mut rec).step();
+            live.driver().tap(&mut rec).run(1);
             assert!(rec.last_error().is_none());
         }
         if tear_at.is_some() {
@@ -283,9 +283,7 @@ mod tests {
         let mut live = server(11);
         let mut rec = StreamingRecorder::new(&path, "unit", 11, "name = \"unit\"\n");
         rec.begin().unwrap();
-        for _ in 0..4 {
-            live.driver().tap(&mut rec).step();
-        }
+        live.driver().tap(&mut rec).run(4);
         // Read the streamed bytes *before* sealing: they must be a strict
         // prefix of the final canonical document.
         let streamed = std::fs::read_to_string(&path).unwrap();

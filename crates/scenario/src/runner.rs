@@ -1067,6 +1067,35 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     }
 
     #[test]
+    fn phase_histograms_observe_each_phase_once_per_epoch() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/baseline_temp.toml");
+        let runner = ScenarioRunner::from_file(&path).unwrap();
+        assert_eq!(runner.spec().epochs, 12);
+        for pipelined in [false, true] {
+            let out = runner
+                .run_live(ExecMode::Serial, runner.spec().seed, false, true, pipelined)
+                .unwrap();
+            let registry = out.telemetry.expect("instrumented run").registry().clone();
+            let counts: Vec<(String, u64)> = registry
+                .iter()
+                .filter(|(name, _, _)| *name == "craqr_phase_seconds")
+                .map(|(_, labels, value)| match value {
+                    craqr_telemetry::MetricValue::Histogram(h) => (labels[0].1.clone(), h.count),
+                    other => panic!("phase metric is not a histogram: {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                counts.len(),
+                craqr_core::EpochPhase::ALL.len(),
+                "pipelined={pipelined}: {counts:?}"
+            );
+            for (phase, count) in counts {
+                assert_eq!(count, 12, "pipelined={pipelined}: phase {phase}");
+            }
+        }
+    }
+
+    #[test]
     fn serial_and_sharded_reports_are_identical() {
         let runner = ScenarioRunner::new(spec(11)).unwrap();
         let serial = runner.run(ExecMode::Serial).unwrap();

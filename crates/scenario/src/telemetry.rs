@@ -28,7 +28,7 @@
 
 use crate::report::TelemetrySection;
 use craqr_core::tenant::AdmissionDecision;
-use craqr_core::{EpochPhase, EpochReport, PhaseTimer, RequestResponseHandler};
+use craqr_core::{EpochPhase, EpochReport, PhaseTimer, PipelineStage, RequestResponseHandler};
 use craqr_telemetry::{Determinism, Registry, PHASE_SECONDS_BOUNDS};
 
 /// One scenario run's metrics registry plus its collection policy.
@@ -36,6 +36,9 @@ use craqr_telemetry::{Determinism, Registry, PHASE_SECONDS_BOUNDS};
 pub struct RunTelemetry {
     registry: Registry,
     timing: bool,
+    /// The slot whose stage spans are being summed, with each phase's
+    /// running total (see [`RunTelemetry::observe_stage`]).
+    open_slot: Option<(u64, [Option<u64>; EpochPhase::ALL.len()])>,
 }
 
 const E: Determinism = Determinism::Event;
@@ -45,7 +48,7 @@ impl RunTelemetry {
     /// A fresh collector. With `timing = false` only event metrics are
     /// recorded and no code path reads a clock.
     pub fn new(timing: bool) -> Self {
-        Self { registry: Registry::new(), timing }
+        Self { registry: Registry::new(), timing, open_slot: None }
     }
 
     /// Whether this collector records the clock-derived tier.
@@ -189,16 +192,30 @@ impl RunTelemetry {
         );
     }
 
+    /// Observes the open slot's summed phase spans, one observation per
+    /// phase the slot reported.
+    fn close_slot(&mut self) {
+        if let Some((_, sums)) = self.open_slot.take() {
+            for (phase, nanos) in EpochPhase::ALL.into_iter().zip(sums) {
+                if let Some(nanos) = nanos {
+                    self.observe(phase, nanos);
+                }
+            }
+        }
+    }
+
     /// Folds in whole-run counters available only at the end: handler
     /// retry/exhaustion totals, adaptive drift/replan counts, and (when
     /// timing) the per-operator-kind processing time the engine clock
-    /// accumulated.
+    /// accumulated. Closes a slot whose spans are still open (one that
+    /// crashed before rendering).
     pub fn finalize(
         &mut self,
         handler: &RequestResponseHandler,
         chain_metrics: &craqr_engine::TopologyMetrics,
         trace: Option<&craqr_adaptive::AdaptiveTrace>,
     ) {
+        self.close_slot();
         let rty = "craqr_retries_total";
         let rty_help = "Retry-path activity (shortfall feedback).";
         self.registry.inc(rty, rty_help, E, &[("kind", "requests")], handler.retries_requested());
@@ -262,6 +279,23 @@ impl PhaseTimer for RunTelemetry {
             PHASE_SECONDS_BOUNDS,
             nanos as f64 / 1e9,
         );
+    }
+
+    /// Sums each slot's stage spans per phase, so `craqr_phase_seconds`
+    /// gets one observation per phase per epoch under every executor.
+    /// Both executors report a slot's spans together and its render span
+    /// last (the issue before the loop counts toward slot 0), so the
+    /// slot closes there — or when a later slot's span arrives.
+    fn observe_stage(&mut self, stage: PipelineStage, slot: u64, phase: EpochPhase, nanos: u64) {
+        if self.open_slot.is_some_and(|(open, _)| open != slot) {
+            self.close_slot();
+        }
+        let (_, sums) = self.open_slot.get_or_insert((slot, [None; EpochPhase::ALL.len()]));
+        let i = EpochPhase::ALL.iter().position(|p| *p == phase).expect("listed phase");
+        *sums[i].get_or_insert(0) += nanos;
+        if stage == PipelineStage::Render {
+            self.close_slot();
+        }
     }
 }
 

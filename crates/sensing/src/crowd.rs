@@ -4,12 +4,12 @@ use crate::fields::Field;
 use crate::population::PopulationConfig;
 use crate::sensor::MobileSensor;
 use crate::types::{AttributeId, SensorId, SensorResponse};
-use craqr_geom::{Grid, Rect};
+use craqr_geom::Rect;
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Configuration of a [`Crowd`].
@@ -56,8 +56,7 @@ impl CrowdFaults {
     }
 }
 
-/// An in-flight (accepted but not yet delivered) response; the due time
-/// lives in the heap key.
+/// An in-flight (accepted but not yet delivered) response.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     sensor: SensorId,
@@ -65,21 +64,36 @@ struct Pending {
     issued_at: f64,
 }
 
-/// Heap ordering by due time (earliest first via `Reverse`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ByDue(f64);
+/// A heap entry: one [`Pending`] response keyed by its due time and its
+/// push sequence (the order its request was accepted in). The entry owns
+/// its response, so the heap holds only what is in flight. A delayed
+/// re-push keeps its sequence.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    due: f64,
+    seq: u64,
+    pending: Pending,
+}
 
-impl Eq for ByDue {}
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
-impl PartialOrd for ByDue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for ByDue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+impl Ord for InFlight {
+    /// Max-heap order: the earliest due time pops first, and among equal
+    /// due times the latest push pops first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.due.total_cmp(&self.due).then_with(|| self.seq.cmp(&other.seq))
     }
 }
 
@@ -105,8 +119,9 @@ pub struct Crowd {
     region: Rect,
     sensors: Vec<MobileSensor>,
     fields: HashMap<AttributeId, Box<dyn Field>>,
-    pending: BinaryHeap<(Reverse<ByDue>, usize)>,
-    pending_info: Vec<Pending>,
+    pending: BinaryHeap<InFlight>,
+    /// Push sequence of the next accepted request.
+    next_seq: u64,
     ready: Vec<SensorResponse>,
     now: f64,
     mobility_rng: StdRng,
@@ -130,7 +145,7 @@ impl Crowd {
             sensors,
             fields: HashMap::new(),
             pending: BinaryHeap::new(),
-            pending_info: Vec::new(),
+            next_seq: 0,
             ready: Vec::new(),
             now: 0.0,
             mobility_rng: sub_rng(config.seed, 1),
@@ -238,12 +253,12 @@ impl Crowd {
         // Mature due responses at post-move positions (answer-time position).
         // Fault draws are strictly conditional on a non-zero probability so
         // inactive fault kinds consume nothing from the fault stream.
-        while let Some(&(Reverse(ByDue(due)), idx)) = self.pending.peek() {
+        while let Some(&entry) = self.pending.peek() {
+            let InFlight { due, pending: info, .. } = entry;
             if due > self.now {
                 break;
             }
             self.pending.pop();
-            let info = self.pending_info[idx];
             if self.faults.drop_probability > 0.0
                 && self.fault_rng.gen::<f64>() < self.faults.drop_probability
             {
@@ -258,7 +273,7 @@ impl Crowd {
                 // Terminates: each deferral moves `due` forward by a fixed
                 // positive amount, so it eventually passes `now`.
                 self.responses_delayed += 1;
-                self.pending.push((Reverse(ByDue(due + self.faults.delay_minutes)), idx));
+                self.pending.push(InFlight { due: due + self.faults.delay_minutes, ..entry });
                 continue;
             }
             let field = self
@@ -317,10 +332,13 @@ impl Crowd {
             self.requests_sent += 1;
             let sensor = &self.sensors[sid.0 as usize];
             if let Some(latency) = sensor.decide_response(incentive, &mut self.participation_rng) {
-                let idx = self.pending_info.len();
-                let due = self.now + latency;
-                self.pending_info.push(Pending { sensor: sid, attr, issued_at: self.now });
-                self.pending.push((Reverse(ByDue(due)), idx));
+                let pending = Pending { sensor: sid, attr, issued_at: self.now };
+                self.pending.push(InFlight {
+                    due: self.now + latency,
+                    seq: self.next_seq,
+                    pending,
+                });
+                self.next_seq += 1;
             }
         }
         sent
@@ -331,9 +349,7 @@ impl Crowd {
     /// Ties (identical delivery times — possible with zero-latency
     /// response models) break on `(sensor, attribute, issue time)`, a
     /// total order over distinguishable responses, so the drained
-    /// sequence is a pure function of the set of matured responses —
-    /// which is what makes [`merge_sharded_responses`] an exact inverse
-    /// of [`Crowd::drain_responses_sharded`].
+    /// sequence is a pure function of the set of matured responses.
     pub fn drain_responses(&mut self) -> Vec<SensorResponse> {
         self.drain_responses_reusing(Vec::new())
     }
@@ -352,43 +368,6 @@ impl Crowd {
         std::mem::swap(&mut recycled, &mut self.ready);
         recycled.sort_by(response_order);
         recycled
-    }
-
-    /// Drains all matured responses partitioned for a *distributed
-    /// collector*: each response goes to the shard owning its grid cell
-    /// (`(r · side + q) mod shards`, round-robin over row-major cell
-    /// index), and every shard's list is delivery-time ordered.
-    /// Responses landing outside the grid (sensors that wandered past
-    /// `R`) go to shard 0 — the map phase drops them anyway.
-    ///
-    /// This is a **collection-side** partition over *all* grid cells; it
-    /// is intentionally independent of the epoch executor's chain→shard
-    /// assignment (which round-robins over the sorted list of
-    /// *materialized* chains only, in `craqr-core`). Do not assume the
-    /// two partitions align — the bridge between them is
-    /// [`merge_sharded_responses`], which reconstructs the exact serial
-    /// stream for the server's ingest path. (The in-process server loop
-    /// uses plain [`Crowd::drain_responses`]; this variant exists for
-    /// collectors that ship per-shard response streams separately.)
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    #[track_caller]
-    pub fn drain_responses_sharded(
-        &mut self,
-        grid: &Grid,
-        shards: usize,
-    ) -> Vec<Vec<SensorResponse>> {
-        assert!(shards > 0, "need at least one shard");
-        let all = self.drain_responses();
-        let mut out: Vec<Vec<SensorResponse>> = (0..shards).map(|_| Vec::new()).collect();
-        for r in all {
-            let shard = grid
-                .cell_of(r.measurement.point.x, r.measurement.point.y)
-                .map_or(0, |c| ((c.r * grid.side() + c.q) as usize) % shards);
-            out[shard].push(r);
-        }
-        out
     }
 
     /// Total requests sent so far.
@@ -547,17 +526,6 @@ fn response_order(a: &SensorResponse, b: &SensorResponse) -> std::cmp::Ordering 
         .then_with(|| a.issued_at.total_cmp(&b.issued_at))
 }
 
-/// Merges shard-partitioned response lists back into the single
-/// delivery-time-ordered stream [`Crowd::drain_responses`] would have
-/// produced — exact even under delivery-time ties, because both sides
-/// sort by the same total order. The inverse of
-/// [`Crowd::drain_responses_sharded`].
-pub fn merge_sharded_responses(shards: Vec<Vec<SensorResponse>>) -> Vec<SensorResponse> {
-    let mut out: Vec<SensorResponse> = shards.into_iter().flatten().collect();
-    out.sort_by(response_order);
-    out
-}
-
 impl std::fmt::Debug for Crowd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Crowd")
@@ -595,6 +563,29 @@ mod tests {
         });
         c.register_field(AttributeId(0), Box::new(ConstantField(AttrValue::Float(1.0))));
         c
+    }
+
+    #[test]
+    fn in_flight_heap_matures_by_due_time_then_latest_push() {
+        let entry = |due: f64, seq: u64| InFlight {
+            due,
+            seq,
+            pending: Pending { sensor: SensorId(seq), attr: AttributeId(0), issued_at: 0.0 },
+        };
+        let mut heap: BinaryHeap<InFlight> = [(1.0, 0), (1.0, 1), (1.0, 2), (2.0, 3)]
+            .into_iter()
+            .map(|(d, s)| entry(d, s))
+            .collect();
+        // Equal due times: the latest push matures first.
+        let first = heap.pop().unwrap();
+        assert_eq!(first.seq, 2);
+        // A delayed re-push keeps its sequence, so at its new due time it
+        // ties behind every later push, not ahead of them.
+        heap.push(InFlight { due: 2.0, ..first });
+        heap.push(entry(2.0, 4));
+        let order: Vec<(f64, u64)> =
+            std::iter::from_fn(|| heap.pop()).map(|e| (e.due, e.seq)).collect();
+        assert_eq!(order, vec![(1.0, 1), (1.0, 0), (2.0, 4), (2.0, 3), (2.0, 2)]);
     }
 
     #[test]
@@ -714,40 +705,6 @@ mod tests {
             c.drain_responses().len()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn sharded_drain_partitions_by_cell_and_merges_back() {
-        let run = |seed| {
-            let mut c = crowd(300, seed);
-            c.dispatch_requests(AttributeId(0), &c.region(), 200, 0.0);
-            c.step(1.0);
-            c
-        };
-        // Two identical worlds: one drains serially, one sharded.
-        let serial = run(77).drain_responses();
-        let grid = Grid::new(Rect::with_size(10.0, 10.0), 4);
-        let sharded = run(77).drain_responses_sharded(&grid, 3);
-
-        assert_eq!(sharded.len(), 3);
-        assert!(!serial.is_empty());
-        // Every response sits on the shard owning its cell, time-ordered.
-        for (shard, list) in sharded.iter().enumerate() {
-            for pair in list.windows(2) {
-                assert!(pair[0].measurement.point.t <= pair[1].measurement.point.t);
-            }
-            for r in list {
-                let expect = grid
-                    .cell_of(r.measurement.point.x, r.measurement.point.y)
-                    .map_or(0, |c| ((c.r * grid.side() + c.q) as usize) % 3);
-                assert_eq!(shard, expect);
-            }
-        }
-        // Merge is the exact inverse: the serial stream reappears.
-        let merged = merge_sharded_responses(sharded);
-        assert_eq!(merged, serial);
-        // And draining again yields nothing (the drain consumed).
-        assert!(run(77).drain_responses_sharded(&grid, 3).concat().len() == serial.len());
     }
 
     #[test]

@@ -723,7 +723,7 @@ struct Args {
     /// Prometheus exposition here.
     metrics: Option<PathBuf>,
     /// `--pipeline`: drive each primary run on the pipelined executor.
-    /// The built-in cross-run stays on the classic executor, so every
+    /// The built-in cross-run stays on the serial executor, so every
     /// invocation re-proves the pipelined bytes against serial ones.
     pipeline: bool,
     /// `--all` was used, so the file list is a complete corpus and the
