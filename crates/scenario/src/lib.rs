@@ -9,6 +9,18 @@
 //! to a canonical, byte-stable golden text (committed under
 //! `tests/goldens/`, asserted by `tests/scenario_goldens.rs`).
 //!
+//! Every way to run a scenario goes through one run body, so none can
+//! drift from the others:
+//!
+//! - [`ScenarioRunner::run`] returns just the report;
+//! - [`ScenarioRunner::run_with`] takes [`RunOptions`] (exec mode, serial
+//!   or pipelined executor, timing), a seed and a [`LogDest`], and returns
+//!   the whole [`RunOutput`];
+//! - [`ScenarioRunner::run_to_crash`] kills a streamed run at a
+//!   [`craqr_core::CrashPoint`];
+//! - [`replay()`] and [`resume()`] re-drive a recorded [`RunLog`] under any
+//!   [`RunOptions`].
+//!
 //! Three properties make the harness a durable regression surface:
 //!
 //! 1. **Determinism** — a report depends only on `(spec, seed)`; serial
@@ -65,14 +77,14 @@ mod runner;
 
 pub use craqr_adaptive::AdaptiveTrace;
 pub use craqr_runlog::RunLog;
-pub use replay::{
-    replay, replay_instrumented, replay_pipelined, resume, resume_pipelined, ReplayError,
-};
+pub use replay::{replay, resume, ReplayError};
 pub use report::{
     fnv1a64, AdaptiveSection, AdmissionRow, EpochRow, FaultSection, OperatorRow, QueryRow,
     RunTotals, ScenarioReport, TelemetrySection, TenantRow, TenantSection,
 };
-pub use runner::{scenario_files, BatchError, RunError, RunOutput, ScenarioRunner};
+pub use runner::{
+    scenario_files, BatchError, LogDest, RunError, RunOptions, RunOutput, ScenarioRunner,
+};
 pub use spec::{
     AdaptiveSpec, AttributeSpec, BudgetSpec, ChurnSpec, CrashSpec, CrowdFaultSpec, ErrorSpec,
     FaultsSpec, FieldSpec, GridSpec, MobilitySpec, PlacementSpec, PlannerSpec, PopulationSpec,

@@ -1,16 +1,17 @@
 //! Replaying, resuming, and verifying event-sourced runs.
 //!
-//! A [`RunLog`] recorded by `run_full`/`run_recorded` is a complete event
+//! A recorded [`RunLog`] (see [`crate::LogDest`]) is a complete event
 //! source for the server side of a run: the embedded spec, the seed, and
 //! every epoch's crowd inputs. This module closes the loop:
 //!
 //! - [`replay`] re-drives a server from the log with the **crowd
 //!   detached** (a zero-sensor world; the recorded responses stand in
-//!   for it) under any [`ExecMode`], re-records as it goes, and verifies
+//!   for it) under any [`RunOptions`], re-records as it goes, and verifies
 //!   both layers: the regenerated epoch inputs/decisions must be
 //!   structurally identical to the log, and the final report/trace
 //!   checksums must match the seals the recording run wrote. A faithful
-//!   log therefore replays **byte-for-byte**, serial or sharded.
+//!   log therefore replays **byte-for-byte**, serial, sharded or
+//!   pipelined.
 //! - [`resume`] truncates at epoch *k* and continues **live**. In this
 //!   in-process system the world itself is part of the deterministic
 //!   simulation, so "rebuild state at *k*" re-drives the world from the
@@ -20,18 +21,16 @@
 //!   reported precisely ([`ReplayError::Diverged`]). Past *k* the run is
 //!   fresh, and an unperturbed resume re-converges on the uninterrupted
 //!   run's exact report and trace.
-//! - Both paths return the same [`RunOutput`] a live run does, including
-//!   a freshly sealed log, so replays and resumes are themselves
-//!   replayable.
+//! - Both paths run through the same run body as a live run and return
+//!   the same [`RunOutput`], including a freshly sealed log, so replays
+//!   and resumes are themselves replayable. This module adds only what is
+//!   specific to them: the recorded inputs, the admission check, the
+//!   prefix and structural diffs, and the seal check.
 
-use crate::runner::{
-    build_server, drive, epoch_row, finalize_report, make_collector, phase_timer,
-    spec_shift_schedule, RunError, RunOutput, ShiftSink, ShiftTap,
-};
+use crate::runner::{execute, Recording, RunError, RunOptions, RunOutput, Source};
 use crate::spec::{ScenarioSpec, SpecError};
-use craqr_adaptive::{AdaptiveController, AdaptiveTrace};
-use craqr_core::{ControlHook, ExecMode, ReplayInputs};
-use craqr_runlog::{diff_logs, RunLog, RunLogRecorder, ShiftEvent};
+use craqr_core::ReplayInputs;
+use craqr_runlog::{diff_logs, RunLog};
 use craqr_sensing::SensorResponse;
 use std::fmt;
 
@@ -113,124 +112,37 @@ pub fn spec_of(log: &RunLog) -> Result<ScenarioSpec, ReplayError> {
 
 /// Re-drives a server from a recorded log with the crowd detached and
 /// verifies the regeneration (see the module docs). Works under any
-/// `exec` regardless of how the run was recorded — the log is
-/// mode-independent by construction.
-pub fn replay(log: &RunLog, exec: ExecMode) -> Result<RunOutput, ReplayError> {
-    replay_instrumented(log, exec, false)
-}
-
-/// [`replay`] with the clock-derived metric tier switched on — the CLI
-/// `metrics` subcommand uses this to render a full metrics snapshot from
-/// any committed log without touching the original run. Timing changes
-/// nothing checksummed, so the replay verifies exactly as untimed.
-pub fn replay_instrumented(
-    log: &RunLog,
-    exec: ExecMode,
-    timing: bool,
-) -> Result<RunOutput, ReplayError> {
-    replay_inner(log, exec, timing, false)
-}
-
-/// [`replay`] on the pipelined executor
-/// ([`craqr_core::EpochDriver::run_replayed_pipelined`]): the recorded
-/// inputs flow through the four stage workers and the regenerated log
-/// must still match the recording byte-for-byte.
-pub fn replay_pipelined(log: &RunLog, exec: ExecMode) -> Result<RunOutput, ReplayError> {
-    replay_inner(log, exec, false, true)
-}
-
-fn replay_inner(
-    log: &RunLog,
-    exec: ExecMode,
-    timing: bool,
-    pipelined: bool,
-) -> Result<RunOutput, ReplayError> {
+/// [`RunOptions`] regardless of how the run was recorded — the log is
+/// mode-independent by construction. With [`RunOptions::timing`] the CLI
+/// `metrics` subcommand renders a full metrics snapshot from any committed
+/// log without touching the original run; timing changes nothing
+/// checksummed, so the replay verifies exactly as untimed.
+pub fn replay(log: &RunLog, opts: impl Into<RunOptions>) -> Result<RunOutput, ReplayError> {
     let spec = spec_of(log)?;
-    let (mut server, qids) = build_server(&spec, log.seed, exec, true)?;
-    // A `[telemetry]` spec recorded a `[telemetry]` report section, so
-    // the replay must rebuild the registry from the same replay-stable
-    // sources or the sealed report checksum cannot re-converge.
-    let mut telemetry = make_collector(&spec, timing);
-    if timing {
-        server.set_engine_timing(true);
-    }
-    if let Some(t) = &mut telemetry {
-        t.observe_admissions(server.admissions());
-    }
-    let mut controller = match &spec.adaptive {
-        Some(a) => Some(AdaptiveController::new(a.to_config().map_err(ReplayError::Spec)?)),
-        None => None,
-    };
-    let mut recorder = RunLogRecorder::new(&log.scenario, log.seed, &log.spec_toml);
-    // Admission re-ran deterministically inside build_server; the diff
-    // below verifies the re-derived verdicts against the recorded ones.
-    recorder.record_admissions(server.admissions());
-
-    // The recorded shift events have no world to apply to; they are
-    // echoed into the fresh log (for the structural comparison) by the
-    // tap adapter, exactly when the recording run appended them.
-    let shift_schedule: Vec<Vec<ShiftEvent>> =
-        log.epochs.iter().map(|r| r.shifts.clone()).collect();
     let responses: Vec<Vec<SensorResponse>> = log
         .epochs
         .iter()
         .map(|r| r.responses.iter().map(|resp| resp.to_response()).collect())
         .collect();
-    let responses_delivered: u64 = log.epochs.iter().map(|r| r.responses.len() as u64).sum();
     let inputs: Vec<ReplayInputs<'_>> = log
         .epochs
         .iter()
         .zip(&responses)
         .map(|(r, resp)| ReplayInputs { sent: r.sent, responses: resp, faults: r.faults() })
         .collect();
+    let mut out =
+        execute(&spec, opts.into(), Source::Replay(log, &inputs), Recording::Memory)?.sealed();
+    let fresh = out.log.as_mut().expect("a memory recording seals a log");
 
-    let mut tap = ShiftTap::new(&mut recorder as &mut dyn ShiftSink, shift_schedule, None);
-    let outcome = {
-        let mut d = server.driver().tap(&mut tap);
-        if let Some(c) = controller.as_mut() {
-            d = d.hook(c as &mut dyn ControlHook);
-        }
-        if let Some(t) = phase_timer(&mut telemetry, timing) {
-            d = d.timer(t);
-        }
-        if pipelined {
-            d.run_replayed_pipelined(&inputs)
-        } else {
-            d.run_replayed(&inputs)
-        }
-    };
-    drop(tap);
-
-    let mut epochs = Vec::with_capacity(outcome.reports.len());
-    for r in &outcome.reports {
-        if let Some(t) = &mut telemetry {
-            t.observe_epoch(r);
-        }
-        epochs.push(epoch_row(r));
-    }
-
-    let trace = controller.map(AdaptiveController::into_trace);
-    let report = finalize_report(
-        &spec,
-        log.seed,
-        &mut server,
-        &qids,
-        epochs,
-        responses_delivered,
-        trace.as_ref(),
-        telemetry.as_mut(),
-    );
-    let mut fresh = recorder.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum));
-
-    // Layer 1: the regenerated inputs and decisions must be structurally
-    // identical to the recording. The seals are layer 2's business, so
-    // align them on the fresh copy for the diff (cheaper than cloning
-    // both multi-hundred-KB logs just to strip two fields) and restore
-    // them afterwards.
+    // Layer 1: the regenerated inputs and decisions (admission verdicts
+    // included) must be structurally identical to the recording. The
+    // seals are layer 2's business, so align them on the fresh copy for
+    // the diff (cheaper than cloning both multi-hundred-KB logs just to
+    // strip two fields) and restore them afterwards.
     let (fresh_report_seal, fresh_trace_seal) = (fresh.report_checksum, fresh.trace_checksum);
     fresh.report_checksum = log.report_checksum;
     fresh.trace_checksum = log.trace_checksum;
-    let diff = diff_logs(log, &fresh);
+    let diff = diff_logs(log, fresh);
     fresh.report_checksum = fresh_report_seal;
     fresh.trace_checksum = fresh_trace_seal;
     if !diff.identical() {
@@ -240,90 +152,42 @@ fn replay_inner(
         });
     }
     // Layer 2: the sealed final checksums must reproduce byte-for-byte.
-    verify_seals(log, &fresh)?;
-    Ok(RunOutput { report, trace, log: Some(fresh), telemetry })
+    verify_seals(log, fresh)?;
+    Ok(out)
 }
 
 /// Resumes a recorded run at epoch boundary `at` (0-based: epochs
 /// `0..at` are rebuilt and verified against the log, epochs `at..` run
-/// fresh) and carries the run through to the spec's full horizon. See
-/// the module docs for the verification contract.
-pub fn resume(log: &RunLog, exec: ExecMode, at: usize) -> Result<RunOutput, ReplayError> {
-    resume_inner(log, exec, at, false)
-}
-
-/// [`resume`] on the pipelined executor: the rebuilt prefix and the
-/// fresh suffix both run through the staged dataflow, and an
-/// unperturbed resume still re-converges on the sealed finals.
-pub fn resume_pipelined(log: &RunLog, exec: ExecMode, at: usize) -> Result<RunOutput, ReplayError> {
-    resume_inner(log, exec, at, true)
-}
-
-fn resume_inner(
+/// fresh) and carries the run through to the spec's full horizon, under
+/// any [`RunOptions`]. See the module docs for the verification contract.
+pub fn resume(
     log: &RunLog,
-    exec: ExecMode,
+    opts: impl Into<RunOptions>,
     at: usize,
-    pipelined: bool,
 ) -> Result<RunOutput, ReplayError> {
     if at > log.epochs.len() {
         return Err(ReplayError::BadResumePoint { at, recorded: log.epochs.len() });
     }
     let spec = spec_of(log)?;
-    let (mut server, qids) = build_server(&spec, log.seed, exec, false)?;
-    // `[telemetry]` specs need the registry rebuilt over the whole
-    // horizon (prefix included) for the final report to re-converge.
-    let mut telemetry = make_collector(&spec, false);
-    if let Some(t) = &mut telemetry {
-        t.observe_admissions(server.admissions());
-    }
-    let mut controller = match &spec.adaptive {
-        Some(a) => Some(AdaptiveController::new(a.to_config().map_err(ReplayError::Spec)?)),
-        None => None,
-    };
-    let mut recorder = RunLogRecorder::new(&log.scenario, log.seed, &log.spec_toml);
-    recorder.record_admissions(server.admissions());
+    let out = execute(&spec, opts.into(), Source::Resume(log), Recording::Memory)?.sealed();
+    let fresh = out.log.as_ref().expect("a memory recording seals a log");
     // The rebuilt admission verdicts must match what the original run
     // recorded — a resume must not silently admit what the recorded run
     // rejected (or vice versa).
-    let rebuilt_admissions: Vec<craqr_runlog::AdmissionRecord> =
-        server.admissions().iter().map(craqr_runlog::AdmissionRecord::from).collect();
-    if rebuilt_admissions != log.admissions {
+    if fresh.admissions != log.admissions {
         return Err(ReplayError::Diverged {
             epoch: None,
             details: format!(
                 "admission decisions diverged from the log: recorded {:?}, rebuilt {:?}",
-                log.admissions, rebuilt_admissions
+                log.admissions, fresh.admissions
             ),
         });
     }
-
-    let mut tap =
-        ShiftTap::new(&mut recorder as &mut dyn ShiftSink, spec_shift_schedule(&spec), None);
-    let outcome = drive(
-        &mut server,
-        &spec,
-        spec.epochs as u64,
-        controller.as_mut().map(|c| c as &mut dyn ControlHook),
-        Some(&mut tap),
-        None,
-        None,
-        pipelined,
-    );
-    drop(tap);
-
-    let mut epochs = Vec::with_capacity(outcome.reports.len());
-    for r in &outcome.reports {
-        if let Some(t) = &mut telemetry {
-            t.observe_epoch(r);
-        }
-        epochs.push(epoch_row(r));
-    }
-
     // Inside the rebuilt prefix every epoch must reproduce the log's
     // record exactly; diverging silently here would poison everything
     // after the resume point — report the first mismatching epoch.
     for e in 0..at {
-        let details = craqr_runlog::diff::diff_epoch(&log.epochs[e], &recorder.epochs()[e]);
+        let details = craqr_runlog::diff::diff_epoch(&log.epochs[e], &fresh.epochs[e]);
         if !details.is_empty() {
             return Err(ReplayError::Diverged {
                 epoch: Some(e as u64),
@@ -331,25 +195,11 @@ fn resume_inner(
             });
         }
     }
-
-    let trace = controller.map(AdaptiveController::into_trace);
-    let responses_delivered = server.crowd().responses_delivered();
-    let report = finalize_report(
-        &spec,
-        log.seed,
-        &mut server,
-        &qids,
-        epochs,
-        responses_delivered,
-        trace.as_ref(),
-        telemetry.as_mut(),
-    );
-    let fresh = recorder.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum));
     // A resume of an unperturbed log re-converges on the sealed finals;
     // only verify them when the whole horizon was recorded (a truncated
     // log carries no seals — `RunLog::truncated` dropped them).
-    verify_seals(log, &fresh)?;
-    Ok(RunOutput { report, trace, log: Some(fresh), telemetry })
+    verify_seals(log, fresh)?;
+    Ok(out)
 }
 
 /// Verifies the original log's sealed final checksums (if any) against a
@@ -371,7 +221,8 @@ fn verify_seals(original: &RunLog, fresh: &RunLog) -> Result<(), ReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ScenarioRunner;
+    use crate::runner::{LogDest, ScenarioRunner};
+    use craqr_core::ExecMode;
 
     fn spec_toml() -> String {
         r#"
@@ -412,7 +263,7 @@ cooldown_epochs = 2
 
     fn recorded() -> (RunOutput, ScenarioRunner) {
         let runner = ScenarioRunner::new(ScenarioSpec::from_toml(&spec_toml()).unwrap()).unwrap();
-        let out = runner.run_full(ExecMode::Serial, 19).unwrap();
+        let out = runner.run_with(ExecMode::Serial, 19, LogDest::Spec).unwrap();
         assert!(out.log.is_some(), "[runlog] spec must record");
         (out, runner)
     }
@@ -520,5 +371,24 @@ cooldown_epochs = 2
         // report — parseable and replayable in turn.
         let again = replay(replayed.log.as_ref().unwrap(), ExecMode::Serial).unwrap();
         assert_eq!(again.report.checksum(), replayed.report.checksum());
+    }
+
+    #[test]
+    fn timed_replay_observes_the_control_hook_like_the_live_run() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let log_text =
+            std::fs::read_to_string(root.join("tests/goldens/drift_rate_jump.runlog.txt")).unwrap();
+        let log = RunLog::parse(&log_text).unwrap();
+        let runner =
+            ScenarioRunner::from_file(&root.join("scenarios/drift_rate_jump.toml")).unwrap();
+        let timed = RunOptions { timing: true, ..RunOptions::default() };
+        let hook_calls = |out: RunOutput| {
+            let telemetry = out.telemetry.expect("a timed run collects metrics");
+            telemetry.registry().counter_value("craqr_control_hook_calls_total", &[])
+        };
+        let live = hook_calls(runner.run_with(timed, log.seed, LogDest::Spec).unwrap());
+        let replayed = hook_calls(replay(&log, timed).unwrap());
+        assert!(live > 0, "the adaptive controller must be called");
+        assert_eq!(replayed, live, "replay must time the same hook calls as the live run");
     }
 }

@@ -12,7 +12,7 @@ use craqr_core::budget::TuneOutcome;
 use craqr_core::server::SubmitError;
 use craqr_core::{
     ControlHook, CraqrServer, CrashPoint, EpochInputsRecord, EpochReport, EpochTap, ExecMode,
-    PhaseTimer, QueryId,
+    QueryId, ReplayInputs,
 };
 use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr_mdpp::{IntensityModel, IntensitySummary, SelfExcitingIntensity};
@@ -79,8 +79,7 @@ impl<I: IntensityModel + Send + Sync> Field for IntensityField<I> {
 
 /// Everything one scenario run produces: the canonical report, the
 /// adaptive decision log (when the spec closes the loop), and the
-/// event-sourced run log (when the spec — or the caller, via
-/// [`ScenarioRunner::run_recorded`] — asks for one).
+/// event-sourced run log (when the run's [`LogDest`] asks for one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
     /// The canonical, checksummed report.
@@ -88,20 +87,68 @@ pub struct RunOutput {
     /// The adaptive controller's decision log (`[adaptive]` specs only).
     pub trace: Option<AdaptiveTrace>,
     /// The event-sourced epoch log, sealed with the report/trace
-    /// checksums (`[runlog]` specs and `run_recorded` only).
+    /// checksums (recorded runs, replays and resumes only).
     pub log: Option<RunLog>,
-    /// The metrics collector (`[telemetry]` specs and the
-    /// `*_instrumented` entry points only) — render it with
+    /// The metrics collector (`[telemetry]` specs and runs with
+    /// [`RunOptions::timing`] only) — render it with
     /// [`RunTelemetry::render_prometheus`] or aggregate across runs with
     /// [`RunTelemetry::absorb`].
     pub telemetry: Option<RunTelemetry>,
 }
 
-/// Runs [`ScenarioSpec`]s under any [`ExecMode`].
+/// How a run executes. No field changes a checksummed byte: reports,
+/// traces and run logs are identical under every combination, and goldens
+/// are always blessed from serial, untimed runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Serial or sharded chain execution.
+    pub exec: ExecMode,
+    /// Drive the epochs on the pipelined executor — the staged epoch
+    /// dataflow spread across four worker threads
+    /// ([`craqr_core::EpochDriver::run_pipelined`]) — instead of the
+    /// serial one.
+    pub pipelined: bool,
+    /// Switch on the clock-derived metric tier: a [`RunTelemetry`]
+    /// collector is always attached (even without a `[telemetry]` block),
+    /// the epoch loop gets a [`craqr_core::PhaseTimer`], the engine accumulates
+    /// per-node processing time, and the control hook is timed.
+    pub timing: bool,
+}
+
+impl From<ExecMode> for RunOptions {
+    fn from(exec: ExecMode) -> Self {
+        Self { exec, ..Self::default() }
+    }
+}
+
+/// Where a live run's event-sourced [`RunLog`] goes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LogDest {
+    /// Record in memory when the spec has a recording `[runlog]` block.
+    /// The trace's checksum is embedded in the report (so the report
+    /// golden pins the trace), and the log is sealed with both checksums
+    /// (so a replay is self-verifying); the trace and log are
+    /// golden-tested separately (`tests/goldens/<name>.trace.txt` /
+    /// `<name>.runlog.txt`).
+    Spec,
+    /// Record in memory whether or not the spec declares `[runlog]` — the
+    /// CLI `chaos` reference runs and the replay tests event-source any
+    /// scenario this way.
+    Memory,
+    /// **Crash-safe** recording: every sealed epoch block is appended and
+    /// `fsync`ed to this file as it closes ([`StreamingRecorder`]), and
+    /// the sealed document atomically replaces the streamed prefix at the
+    /// end. If the process dies mid-run, the file salvages
+    /// ([`craqr_runlog::parse_salvage`]) to the last durable epoch
+    /// boundary instead of losing the log.
+    Stream(PathBuf),
+}
+
+/// Runs [`ScenarioSpec`]s under any [`RunOptions`].
 ///
-/// The runner is stateless between runs: every [`ScenarioRunner::run`]
-/// rebuilds the crowd, the server, and the query plan from the spec, so
-/// serial and sharded runs (and repeated runs) are completely independent
+/// The runner is stateless between runs: every run rebuilds the crowd,
+/// the server, and the query plan from the spec, so serial, sharded and
+/// pipelined runs (and repeated runs) are completely independent
 /// executions whose reports can be compared byte-for-byte.
 pub struct ScenarioRunner {
     spec: ScenarioSpec,
@@ -119,209 +166,32 @@ impl ScenarioRunner {
         &self.spec
     }
 
-    /// Runs the scenario under `exec` with the spec's own seed.
+    /// Runs the scenario under `exec` with the spec's own seed and returns
+    /// its report. No run log is recorded, even for `[runlog]` specs: a
+    /// tap is a pure observer, so this changes nothing but the work done.
     pub fn run(&self, exec: ExecMode) -> Result<ScenarioReport, RunError> {
-        self.run_with_seed(exec, self.spec.seed)
+        let live = Source::Live(self.spec.seed);
+        Ok(execute(&self.spec, exec.into(), live, Recording::Off)?.sealed().report)
     }
 
-    /// Runs the scenario under `exec` with an overridden seed — the CI
-    /// determinism check exercises serial-vs-sharded equality across
-    /// several seeds without needing per-seed spec files.
-    pub fn run_with_seed(&self, exec: ExecMode, seed: u64) -> Result<ScenarioReport, RunError> {
-        // Report-only callers skip run-log recording even for `[runlog]`
-        // specs: a tap is a pure observer, so this changes nothing but
-        // the work done.
-        self.run_live(exec, seed, false, false, false).map(|out| out.report)
-    }
-
-    /// Runs the scenario on the **pipelined executor** — the staged
-    /// epoch dataflow spread across four worker threads
-    /// ([`craqr_core::EpochDriver::run_pipelined`]) — with the spec's
-    /// own seed. Byte-identical to [`ScenarioRunner::run`]: pipelining
-    /// is an execution strategy, never an output; goldens are always
-    /// blessed from serial runs.
-    pub fn run_pipelined(&self, exec: ExecMode) -> Result<ScenarioReport, RunError> {
-        self.run_live(exec, self.spec.seed, false, false, true).map(|out| out.report)
-    }
-
-    /// [`ScenarioRunner::run_full`] on the pipelined executor — report,
-    /// trace, and run log all byte-identical to the serial run's.
-    pub fn run_full_pipelined(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        let record = self.spec.runlog.is_some_and(|r| r.record);
-        self.run_live(exec, seed, record, false, true)
-    }
-
-    /// [`ScenarioRunner::run_recorded`] on the pipelined executor.
-    pub fn run_recorded_pipelined(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        self.run_live(exec, seed, true, false, true)
-    }
-
-    /// Runs the scenario, also returning the adaptive controller's
-    /// decision log when the spec has an `[adaptive]` block, and the
-    /// event-sourced [`RunLog`] when it has a recording `[runlog]` block.
-    /// The trace's checksum is embedded in the report (so the report
-    /// golden pins the trace), and the log is sealed with both checksums
-    /// (so a replay is self-verifying); the trace and log are
-    /// golden-tested separately (`tests/goldens/<name>.trace.txt` /
-    /// `<name>.runlog.txt`).
-    pub fn run_full(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        let record = self.spec.runlog.is_some_and(|r| r.record);
-        self.run_live(exec, seed, record, false, false)
-    }
-
-    /// [`ScenarioRunner::run_full`] with the clock-derived metric tier
-    /// switched on: a [`RunTelemetry`] collector is always attached (even
-    /// without a `[telemetry]` block), the epoch loop gets a
-    /// [`PhaseTimer`], the engine accumulates per-node processing time,
-    /// and the control hook is timed. Every checksummed artifact —
-    /// report, trace, run log — is bit-identical to the untimed run (the
-    /// timing tier is structurally excluded from canonical renderings).
-    pub fn run_full_instrumented(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        let record = self.spec.runlog.is_some_and(|r| r.record);
-        self.run_live(exec, seed, record, true, false)
-    }
-
-    /// Runs the scenario with run-log recording forced on, whether or not
-    /// the spec declares `[runlog]` — the CLI `record` subcommand and the
-    /// replay CI job use this to event-source any scenario.
-    pub fn run_recorded(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        self.run_live(exec, seed, true, false, false)
-    }
-
-    /// [`ScenarioRunner::run_recorded`] with the timing tier switched on
-    /// (see [`ScenarioRunner::run_full_instrumented`] for the contract) —
-    /// the chaos CLI's `--metrics` mode instruments its reference runs
-    /// this way.
-    pub fn run_recorded_instrumented(
+    /// Runs the scenario with `seed` and returns everything it produces:
+    /// the report, the adaptive trace, the run log `log` asks for, and the
+    /// metrics collector. A seed other than the spec's lets the CI
+    /// determinism check exercise serial-vs-sharded equality across
+    /// several seeds without per-seed spec files.
+    pub fn run_with(
         &self,
-        exec: ExecMode,
+        opts: impl Into<RunOptions>,
         seed: u64,
+        log: LogDest,
     ) -> Result<RunOutput, RunError> {
-        self.run_live(exec, seed, true, true, false)
-    }
-
-    /// Runs the scenario with **crash-safe** recording: every sealed epoch
-    /// block is appended and `fsync`ed to `log_path` as it closes
-    /// ([`StreamingRecorder`]), and the sealed document atomically
-    /// replaces the streamed prefix at the end. If the process dies
-    /// mid-run, the file salvages ([`craqr_runlog::parse_salvage`]) to
-    /// the last durable epoch boundary instead of losing the log.
-    pub fn run_streamed(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-    ) -> Result<RunOutput, RunError> {
-        self.run_streamed_instrumented(exec, seed, log_path, false)
-    }
-
-    /// [`ScenarioRunner::run_streamed`] with the timing tier switched on
-    /// (see [`ScenarioRunner::run_full_instrumented`] for the contract).
-    pub fn run_streamed_instrumented(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-        timing: bool,
-    ) -> Result<RunOutput, RunError> {
-        self.run_streamed_inner(exec, seed, log_path, timing, false)
-    }
-
-    /// [`ScenarioRunner::run_streamed`] on the pipelined executor: the
-    /// render stage streams sealed epoch blocks while later epochs are
-    /// mid-flight upstream, and the durable file is byte-identical to the
-    /// serial streamed run's.
-    pub fn run_streamed_pipelined(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-    ) -> Result<RunOutput, RunError> {
-        self.run_streamed_inner(exec, seed, log_path, false, true)
-    }
-
-    fn run_streamed_inner(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-        timing: bool,
-        pipelined: bool,
-    ) -> Result<RunOutput, RunError> {
-        let spec = &self.spec;
-        let io_err = |e: &std::io::Error| RunError::Io {
-            path: log_path.to_path_buf(),
-            message: e.to_string(),
+        let recording = match &log {
+            LogDest::Spec if self.spec.runlog.is_some_and(|r| r.record) => Recording::Memory,
+            LogDest::Spec => Recording::Off,
+            LogDest::Memory => Recording::Memory,
+            LogDest::Stream(path) => Recording::Stream { path, crash: None },
         };
-        let (mut server, qids) = build_server(spec, seed, exec, false)?;
-        let mut telemetry = make_collector(spec, timing);
-        if timing {
-            server.set_engine_timing(true);
-        }
-        if let Some(t) = &mut telemetry {
-            t.observe_admissions(server.admissions());
-        }
-        let mut controller = match &spec.adaptive {
-            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
-            None => None,
-        };
-        let mut rec = StreamingRecorder::new(log_path, &spec.name, seed, &spec.to_toml());
-        rec.record_admissions(server.admissions());
-        // Persist the header eagerly: even a crash before epoch 0 leaves a
-        // salvageable file.
-        rec.begin().map_err(|e| io_err(&e))?;
-
-        // The wrapper is a pure pass-through when untimed, so it can wrap
-        // unconditionally without perturbing uninstrumented runs.
-        let mut hook =
-            controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, timing));
-        let mut tap = ShiftTap::new(&mut rec, spec_shift_schedule(spec), None);
-        let outcome = drive(
-            &mut server,
-            spec,
-            spec.epochs as u64,
-            hook.as_mut().map(|h| h as &mut dyn ControlHook),
-            Some(&mut tap),
-            phase_timer(&mut telemetry, timing),
-            None,
-            pipelined,
-        );
-        drop(tap);
-        // Appends happen on the driver's render side now, so stream
-        // failures surface once at the end of the run.
-        if let Some(err) = rec.last_error() {
-            return Err(io_err(err));
-        }
-        let mut epochs = Vec::with_capacity(outcome.reports.len());
-        for r in &outcome.reports {
-            if let Some(t) = &mut telemetry {
-                t.observe_epoch(r);
-            }
-            epochs.push(epoch_row(r));
-        }
-        if let (Some(t), Some(h)) = (&mut telemetry, &hook) {
-            t.observe_hook(h.calls(), h.total_ns());
-        }
-        // `hook` borrows `controller`; release it before `into_trace` moves
-        // the controller out.
-        let _ = hook;
-
-        let trace = controller.map(AdaptiveController::into_trace);
-        let responses_delivered = server.crowd().responses_delivered();
-        let report = finalize_report(
-            spec,
-            seed,
-            &mut server,
-            &qids,
-            epochs,
-            responses_delivered,
-            trace.as_ref(),
-            telemetry.as_mut(),
-        );
-        let log = rec
-            .finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum))
-            .map_err(|e| io_err(&e))?;
-        Ok(RunOutput { report, trace, log: Some(log), telemetry })
+        Ok(execute(&self.spec, opts.into(), Source::Live(seed), recording)?.sealed())
     }
 
     /// Runs the scenario up to `at_epoch` and kills it at the named
@@ -330,164 +200,33 @@ impl ScenarioRunner {
     /// epoch's work is abandoned mid-flight (or, for `mid-log-append`,
     /// its log append is torn halfway through a `write(2)`), and nothing
     /// is sealed. Returns the number of epochs durable on disk — the
-    /// boundary a salvage-and-resume must recover to.
+    /// boundary a salvage-and-resume must recover to. On the pipelined
+    /// executor all four stages die mid-flight (the stage owning the
+    /// crash point exits after its last permitted operation and its
+    /// neighbours drain until their channels disconnect), and the durable
+    /// prefix is byte-identical to the serial crash's.
     ///
     /// # Panics
     /// Panics when `at_epoch` is outside the spec's horizon.
     #[track_caller]
     pub fn run_to_crash(
         &self,
-        exec: ExecMode,
+        opts: impl Into<RunOptions>,
         seed: u64,
         point: CrashPoint,
         at_epoch: u32,
         log_path: &Path,
     ) -> Result<usize, RunError> {
-        self.run_to_crash_inner(exec, seed, point, at_epoch, log_path, false)
-    }
-
-    /// [`ScenarioRunner::run_to_crash`] on the pipelined executor: the
-    /// process dies with all four stages mid-flight (the stage owning the
-    /// crash point exits after its last permitted operation and its
-    /// neighbours drain until their channels disconnect), and the durable
-    /// prefix on disk is byte-identical to the serial crash's.
-    ///
-    /// # Panics
-    /// Panics when `at_epoch` is outside the spec's horizon.
-    #[track_caller]
-    pub fn run_to_crash_pipelined(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        point: CrashPoint,
-        at_epoch: u32,
-        log_path: &Path,
-    ) -> Result<usize, RunError> {
-        self.run_to_crash_inner(exec, seed, point, at_epoch, log_path, true)
-    }
-
-    fn run_to_crash_inner(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        point: CrashPoint,
-        at_epoch: u32,
-        log_path: &Path,
-        pipelined: bool,
-    ) -> Result<usize, RunError> {
-        let spec = &self.spec;
         assert!(
-            at_epoch < spec.epochs,
+            at_epoch < self.spec.epochs,
             "crash epoch {at_epoch} outside the spec's {} epochs",
-            spec.epochs
+            self.spec.epochs
         );
-        let (mut server, _qids) = build_server(spec, seed, exec, false)?;
-        let mut controller = match &spec.adaptive {
-            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
-            None => None,
-        };
-        let mut rec = StreamingRecorder::new(log_path, &spec.name, seed, &spec.to_toml());
-        rec.record_admissions(server.admissions());
-        rec.begin()
-            .map_err(|e| RunError::Io { path: log_path.to_path_buf(), message: e.to_string() })?;
-
-        let tear_at = (point == CrashPoint::MidLogAppend).then_some(at_epoch as u64);
-        let mut tap = ShiftTap::new(&mut rec, spec_shift_schedule(spec), tear_at);
-        let _ = drive(
-            &mut server,
-            spec,
-            at_epoch as u64 + 1,
-            controller.as_mut().map(|c| c as &mut dyn ControlHook),
-            Some(&mut tap),
-            None,
-            Some((at_epoch as u64, point)),
-            pipelined,
-        );
-        drop(tap);
-        // The "process" dies here: no seal, no atomic swap. The file keeps
-        // exactly the prefix whose `end` lines were synced.
-        Ok(rec.epochs_streamed())
-    }
-
-    fn run_live(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        record: bool,
-        timing: bool,
-        pipelined: bool,
-    ) -> Result<RunOutput, RunError> {
-        let spec = &self.spec;
-        let (mut server, qids) = build_server(spec, seed, exec, false)?;
-        let mut telemetry = make_collector(spec, timing);
-        if timing {
-            server.set_engine_timing(true);
+        let recording = Recording::Stream { path: log_path, crash: Some((at_epoch, point)) };
+        match execute(&self.spec, opts.into(), Source::Live(seed), recording)? {
+            Ended::Crashed { durable } => Ok(durable),
+            Ended::Sealed(_) => unreachable!("a run with an armed crash never seals"),
         }
-        if let Some(t) = &mut telemetry {
-            t.observe_admissions(server.admissions());
-        }
-        let mut controller = match &spec.adaptive {
-            // The spec validated the block, so the config is sound.
-            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
-            None => None,
-        };
-        let mut recorder = if record {
-            let mut rec = RunLogRecorder::new(&spec.name, seed, &spec.to_toml());
-            // Admission ran at submit time, inside build_server; the
-            // decisions land in the log's checksummed header.
-            rec.record_admissions(server.admissions());
-            Some(rec)
-        } else {
-            None
-        };
-
-        // The wrapper is a pure pass-through when untimed, so it can wrap
-        // unconditionally without perturbing uninstrumented runs.
-        let mut hook =
-            controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, timing));
-        let mut tap = recorder
-            .as_mut()
-            .map(|rec| ShiftTap::new(rec as &mut dyn ShiftSink, spec_shift_schedule(spec), None));
-        let outcome = drive(
-            &mut server,
-            spec,
-            spec.epochs as u64,
-            hook.as_mut().map(|h| h as &mut dyn ControlHook),
-            tap.as_mut().map(|t| t as &mut dyn EpochTap),
-            phase_timer(&mut telemetry, timing),
-            None,
-            pipelined,
-        );
-        drop(tap);
-        let mut epochs = Vec::with_capacity(outcome.reports.len());
-        for r in &outcome.reports {
-            if let Some(t) = &mut telemetry {
-                t.observe_epoch(r);
-            }
-            epochs.push(epoch_row(r));
-        }
-        if let (Some(t), Some(h)) = (&mut telemetry, &hook) {
-            t.observe_hook(h.calls(), h.total_ns());
-        }
-        // `hook` borrows `controller`; release it before `into_trace` moves
-        // the controller out.
-        let _ = hook;
-
-        let trace = controller.map(AdaptiveController::into_trace);
-        let responses_delivered = server.crowd().responses_delivered();
-        let report = finalize_report(
-            spec,
-            seed,
-            &mut server,
-            &qids,
-            epochs,
-            responses_delivered,
-            trace.as_ref(),
-            telemetry.as_mut(),
-        );
-        let log = recorder
-            .map(|rec| rec.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum)));
-        Ok(RunOutput { report, trace, log, telemetry })
     }
 
     /// Builds a runner from a spec file (`.toml` or `.json`).
@@ -499,26 +238,223 @@ impl ScenarioRunner {
         ScenarioRunner::new(spec)
             .map_err(|e| BatchError::Spec { path: path.to_path_buf(), error: e })
     }
+}
 
-    /// Loads every spec file in `dir` (sorted by file name) and runs each
-    /// under `exec` with its own seed — the library counterpart of
-    /// `craqr-scenario --all` for callers that want whole-corpus reports
-    /// without the CLI's golden/trace management. (The CLI shares only
-    /// [`scenario_files`] with this, because it also handles seed
-    /// overrides, cross-mode checks, and traces per file.)
-    pub fn run_all(
-        dir: &Path,
-        exec: ExecMode,
-    ) -> Result<Vec<(PathBuf, ScenarioReport)>, BatchError> {
-        let mut out = Vec::new();
-        for path in scenario_files(dir)? {
-            let runner = Self::from_file(&path)?;
-            let report =
-                runner.run(exec).map_err(|e| BatchError::Run { path: path.clone(), error: e })?;
-            out.push((path, report));
+/// Where a run's crowd inputs come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// The spec's live crowd under this seed.
+    Live(u64),
+    /// The live crowd rebuilt from a recorded log's spec and seed.
+    Resume(&'a RunLog),
+    /// A detached replay of a recorded log: a zero-sensor crowd, one
+    /// [`ReplayInputs`] per recorded epoch standing in for it, and the
+    /// recording's shift events echoed into the fresh log.
+    Replay(&'a RunLog, &'a [ReplayInputs<'a>]),
+}
+
+/// Where a run's log goes.
+pub(crate) enum Recording<'a> {
+    /// Nowhere.
+    Off,
+    /// An in-memory [`RunLogRecorder`].
+    Memory,
+    /// A [`StreamingRecorder`] at `path`. With `crash` armed the run dies
+    /// at that epoch and point instead of sealing.
+    Stream { path: &'a Path, crash: Option<(u32, CrashPoint)> },
+}
+
+/// How a run ended.
+pub(crate) enum Ended {
+    /// The horizon completed and the log, if any, was sealed.
+    Sealed(Box<RunOutput>),
+    /// The armed crash killed the run with `durable` epochs on disk.
+    Crashed { durable: usize },
+}
+
+impl Ended {
+    /// The output of a run that had no crash armed.
+    pub(crate) fn sealed(self) -> RunOutput {
+        match self {
+            Ended::Sealed(out) => *out,
+            Ended::Crashed { .. } => unreachable!("only run_to_crash arms a crash"),
         }
-        Ok(out)
     }
+}
+
+/// The run log recorder a run writes to.
+enum Sink<'a> {
+    Memory(RunLogRecorder),
+    Stream(StreamingRecorder, &'a Path),
+}
+
+fn io_error(path: &Path, e: &std::io::Error) -> RunError {
+    RunError::Io { path: path.to_path_buf(), message: e.to_string() }
+}
+
+/// The one scenario run: builds the server, the metrics collector, the
+/// controller behind its [`TimedHook`], the recorder behind its
+/// [`ShiftTap`], drives the epochs through the [`craqr_core::EpochDriver`],
+/// turns the reports into rows, finalizes the report and seals the log.
+/// Live, recorded, streamed, crashed, replayed and resumed runs all come
+/// through here, so none of them can drift from the others.
+pub(crate) fn execute(
+    spec: &ScenarioSpec,
+    opts: RunOptions,
+    source: Source<'_>,
+    recording: Recording<'_>,
+) -> Result<Ended, RunError> {
+    let (seed, recorded, replay) = match source {
+        Source::Live(seed) => (seed, None, None),
+        Source::Resume(log) => (log.seed, Some(log), None),
+        Source::Replay(log, inputs) => (log.seed, Some(log), Some(inputs)),
+    };
+    let (mut server, qids) = build_server(spec, seed, opts.exec, replay.is_some())?;
+    if opts.timing {
+        server.set_engine_timing(true);
+    }
+    // A declared `[telemetry]` block collects the event tier (which every
+    // source rebuilds from replay-stable inputs, or the sealed report
+    // checksum could not re-converge); timing additionally — or alone,
+    // without the block — collects the clock tier for `--metrics` exports.
+    let mut telemetry =
+        (spec.telemetry.is_some() || opts.timing).then(|| RunTelemetry::new(opts.timing));
+    if let Some(t) = &mut telemetry {
+        t.observe_admissions(server.admissions());
+    }
+    let mut controller = match &spec.adaptive {
+        // The spec validated the block, so the config is sound.
+        Some(a) => Some(AdaptiveController::new(a.to_config()?)),
+        None => None,
+    };
+
+    // A replayed or resumed run re-records under the recording's own
+    // header, so the structural diffs compare like with like. Admission
+    // ran at submit time, inside build_server; the decisions land in the
+    // log's checksummed header.
+    let header = || match recorded {
+        Some(log) => (log.scenario.clone(), log.spec_toml.clone()),
+        None => (spec.name.clone(), spec.to_toml()),
+    };
+    let crash = match &recording {
+        Recording::Stream { crash, .. } => *crash,
+        _ => None,
+    };
+    let mut sink = match recording {
+        Recording::Off => None,
+        Recording::Memory => {
+            let (name, toml) = header();
+            let mut rec = RunLogRecorder::new(&name, seed, &toml);
+            rec.record_admissions(server.admissions());
+            Some(Sink::Memory(rec))
+        }
+        Recording::Stream { path, .. } => {
+            let (name, toml) = header();
+            let mut rec = StreamingRecorder::new(path, &name, seed, &toml);
+            rec.record_admissions(server.admissions());
+            // Persist the header eagerly: even a crash before epoch 0
+            // leaves a salvageable file.
+            rec.begin().map_err(|e| io_error(path, &e))?;
+            Some(Sink::Stream(rec, path))
+        }
+    };
+
+    // A detached replay has no world to apply its shifts to; they are
+    // echoed into the fresh log exactly when the recording appended them.
+    let shifts = match source {
+        Source::Replay(log, _) => log.epochs.iter().map(|r| r.shifts.clone()).collect(),
+        _ => spec_shift_schedule(spec),
+    };
+    let tear_at = crash.and_then(|(e, p)| (p == CrashPoint::MidLogAppend).then_some(e as u64));
+    let mut tap = sink.as_mut().map(|sink| {
+        let sink: &mut dyn ShiftSink = match sink {
+            Sink::Memory(rec) => rec,
+            Sink::Stream(rec, _) => rec,
+        };
+        ShiftTap::new(sink, shifts, tear_at)
+    });
+    // The wrapper is a pure pass-through when untimed, so it can wrap
+    // unconditionally without perturbing uninstrumented runs.
+    let mut hook =
+        controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, opts.timing));
+
+    let mut d = server.driver();
+    if replay.is_none() {
+        d = d.prologue(|e, crowd| epoch_prologue(spec, e as u32, crowd));
+    }
+    if let Some(h) = hook.as_mut() {
+        d = d.hook(h);
+    }
+    if let Some(t) = tap.as_mut() {
+        d = d.tap(t);
+    }
+    // Only a timing collector listens; event-only collectors leave the
+    // loop clock-free.
+    if let Some(t) = telemetry.as_mut().filter(|_| opts.timing) {
+        d = d.timer(t);
+    }
+    if let Some((epoch, point)) = crash {
+        d = d.crash_at(epoch as u64, point);
+    }
+    let horizon = crash.map_or(spec.epochs, |(epoch, _)| epoch + 1) as u64;
+    let outcome = match (replay, opts.pipelined) {
+        (Some(inputs), false) => d.run_replayed(inputs),
+        (Some(inputs), true) => d.run_replayed_pipelined(inputs),
+        (None, false) => d.run(horizon),
+        (None, true) => d.run_pipelined(horizon),
+    };
+    drop(tap);
+
+    if let Some(Sink::Stream(rec, path)) = &sink {
+        if crash.is_some() {
+            // The "process" dies here: no seal, no atomic swap. The file
+            // keeps exactly the prefix whose `end` lines were synced.
+            return Ok(Ended::Crashed { durable: rec.epochs_streamed() });
+        }
+        // Appends happen on the render stage, so stream failures
+        // surface once at the end of the run.
+        if let Some(err) = rec.last_error() {
+            return Err(io_error(path, err));
+        }
+    }
+    let mut epochs = Vec::with_capacity(outcome.reports.len());
+    for r in &outcome.reports {
+        if let Some(t) = &mut telemetry {
+            t.observe_epoch(r);
+        }
+        epochs.push(epoch_row(r));
+    }
+    if let (Some(t), Some(h)) = (&mut telemetry, &hook) {
+        t.observe_hook(h.calls(), h.total_ns());
+    }
+
+    let trace = controller.map(AdaptiveController::into_trace);
+    // A detached replay has no crowd counter, so it sums the recorded
+    // responses instead (the two agree for live runs: every matured
+    // response is drained by some epoch).
+    let responses_delivered = match replay {
+        Some(inputs) => inputs.iter().map(|i| i.responses.len() as u64).sum(),
+        None => server.crowd().responses_delivered(),
+    };
+    let report = finalize_report(
+        spec,
+        seed,
+        &mut server,
+        &qids,
+        epochs,
+        responses_delivered,
+        trace.as_ref(),
+        telemetry.as_mut(),
+    );
+    let trace_checksum = trace.as_ref().map(AdaptiveTrace::checksum);
+    let log = match sink {
+        None => None,
+        Some(Sink::Memory(rec)) => Some(rec.finish(report.checksum(), trace_checksum)),
+        Some(Sink::Stream(rec, path)) => {
+            Some(rec.finish(report.checksum(), trace_checksum).map_err(|e| io_error(path, &e))?)
+        }
+    };
+    Ok(Ended::Sealed(Box::new(RunOutput { report, trace, log, telemetry })))
 }
 
 /// Every scenario spec file (`.toml`/`.json`) in `dir`, sorted by name.
@@ -533,7 +469,7 @@ pub fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, BatchError> {
     Ok(files)
 }
 
-/// Why a whole-corpus batch run failed.
+/// Why a spec file, or a directory of them, could not be loaded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchError {
     /// A file or directory could not be read.
@@ -550,13 +486,6 @@ pub enum BatchError {
         /// The schema complaint.
         error: SpecError,
     },
-    /// A valid spec failed to run.
-    Run {
-        /// The offending file.
-        path: PathBuf,
-        /// The runner complaint.
-        error: RunError,
-    },
 }
 
 impl fmt::Display for BatchError {
@@ -564,7 +493,6 @@ impl fmt::Display for BatchError {
         match self {
             BatchError::Io { path, message } => write!(f, "{}: {message}", path.display()),
             BatchError::Spec { path, error } => write!(f, "{}: {error}", path.display()),
-            BatchError::Run { path, error } => write!(f, "{}: {error}", path.display()),
         }
     }
 }
@@ -579,7 +507,7 @@ impl std::error::Error for BatchError {}
 /// only the crowd, which is what lets the pipelined executor run it on
 /// the drain stage ([`craqr_core::EpochDriver::prologue`]); the shift
 /// events are mirrored into run logs by [`ShiftTap`] on the render side.
-pub(crate) fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
+fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
     for shift in spec.shifts.iter().filter(|s| s.epoch() == e) {
         apply_shift(crowd, shift);
     }
@@ -600,7 +528,7 @@ pub(crate) fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
 
 /// Where shift events and tear-arming land: both run-log recorders, seen
 /// uniformly by the [`ShiftTap`] adapter.
-pub(crate) trait ShiftSink: EpochTap {
+trait ShiftSink: EpochTap {
     /// Buffers a shift event onto the next epoch block appended.
     fn record_shift(&mut self, ev: ShiftEvent);
     /// Arms the injected torn append (meaningful for the streaming
@@ -633,14 +561,14 @@ impl ShiftSink for StreamingRecorder {
 /// onto the *next* appended block either way, so the log bytes are
 /// identical. It also arms the chaos harness's mid-append tear at
 /// exactly the right block.
-pub(crate) struct ShiftTap<'a> {
+struct ShiftTap<'a> {
     sink: &'a mut dyn ShiftSink,
     shifts: Vec<Vec<ShiftEvent>>,
     tear_at: Option<u64>,
 }
 
 impl<'a> ShiftTap<'a> {
-    pub(crate) fn new(
+    fn new(
         sink: &'a mut dyn ShiftSink,
         shifts: Vec<Vec<ShiftEvent>>,
         tear_at: Option<u64>,
@@ -666,7 +594,7 @@ impl EpochTap for ShiftTap<'_> {
 
 /// The per-epoch shift events a spec scripts, indexed by epoch — the
 /// schedule [`ShiftTap`] echoes into run logs.
-pub(crate) fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
+fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
     let mut schedule = vec![Vec::new(); spec.epochs as usize];
     for shift in &spec.shifts {
         if let Some(slot) = schedule.get_mut(shift.epoch() as usize) {
@@ -676,43 +604,8 @@ pub(crate) fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
     schedule
 }
 
-/// Builds and runs the [`craqr_core::EpochDriver`] every scenario entry
-/// point goes through: the spec's prologue plus whatever hook, tap,
-/// timer, and crash the flavor installs, on the serial or pipelined
-/// executor.
-#[allow(clippy::too_many_arguments)] // one call site per run flavor; a params struct would just rename the problem
-pub(crate) fn drive(
-    server: &mut CraqrServer,
-    spec: &ScenarioSpec,
-    epochs: u64,
-    hook: Option<&mut dyn ControlHook>,
-    tap: Option<&mut dyn EpochTap>,
-    timer: Option<&mut dyn PhaseTimer>,
-    crash: Option<(u64, CrashPoint)>,
-    pipelined: bool,
-) -> craqr_core::RunOutcome {
-    let mut d = server.driver().prologue(|e, crowd| epoch_prologue(spec, e as u32, crowd));
-    if let Some(h) = hook {
-        d = d.hook(h);
-    }
-    if let Some(t) = tap {
-        d = d.tap(t);
-    }
-    if let Some(t) = timer {
-        d = d.timer(t);
-    }
-    if let Some((slot, point)) = crash {
-        d = d.crash_at(slot, point);
-    }
-    if pipelined {
-        d.run_pipelined(epochs)
-    } else {
-        d.run(epochs)
-    }
-}
-
 /// Applies one scripted regime shift to the crowd.
-pub(crate) fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
+fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
     match shift {
         ShiftSpec::Participation { factor, .. } => crowd.scale_participation(*factor),
         ShiftSpec::Dropout { probability, rect, .. } => {
@@ -725,7 +618,7 @@ pub(crate) fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
 }
 
 /// The run-log event describing one scripted shift.
-pub(crate) fn shift_event(shift: &ShiftSpec) -> ShiftEvent {
+fn shift_event(shift: &ShiftSpec) -> ShiftEvent {
     match *shift {
         ShiftSpec::Participation { factor, .. } => ShiftEvent::Participation { factor },
         ShiftSpec::Dropout { probability, rect, .. } => ShiftEvent::Dropout { probability, rect },
@@ -745,7 +638,7 @@ pub(crate) fn shift_event(shift: &ShiftSpec) -> ShiftEvent {
 /// slot comes back as `None`, the decision lands in
 /// [`CraqrServer::admissions`], and the run proceeds with the admitted
 /// queries (both reports and run logs carry the audit trail).
-pub(crate) fn build_server(
+fn build_server(
     spec: &ScenarioSpec,
     seed: u64,
     exec: ExecMode,
@@ -798,28 +691,8 @@ pub(crate) fn build_server(
     Ok((server, qids))
 }
 
-/// The run's metrics collector, if anything asked for one: a declared
-/// `[telemetry]` block collects the event tier; `timing` additionally
-/// (or alone, without the block) collects the clock tier for `--metrics`
-/// exports.
-pub(crate) fn make_collector(spec: &ScenarioSpec, timing: bool) -> Option<RunTelemetry> {
-    (spec.telemetry.is_some() || timing).then(|| RunTelemetry::new(timing))
-}
-
-/// The [`PhaseTimer`] to install on the epoch loop: only a timing
-/// collector listens; event-only collectors leave the loop clock-free.
-pub(crate) fn phase_timer(
-    telemetry: &mut Option<RunTelemetry>,
-    timing: bool,
-) -> Option<&mut dyn PhaseTimer> {
-    if !timing {
-        return None;
-    }
-    telemetry.as_mut().map(|t| t as &mut dyn PhaseTimer)
-}
-
 /// Reduces one epoch report to its deterministic counters.
-pub(crate) fn epoch_row(r: &EpochReport) -> EpochRow {
+fn epoch_row(r: &EpochReport) -> EpochRow {
     let (mut incr, mut decr, mut exh) = (0usize, 0usize, 0usize);
     for t in &r.tuning {
         match t.outcome {
@@ -851,8 +724,8 @@ pub(crate) fn epoch_row(r: &EpochReport) -> EpochRow {
 /// is passed in rather than read off the crowd because a detached replay
 /// has no crowd counter — it sums the log instead (the two agree for live
 /// runs: every matured response is drained by some epoch).
-#[allow(clippy::too_many_arguments)] // one call site per run flavor; a params struct would just rename the problem
-pub(crate) fn finalize_report(
+#[allow(clippy::too_many_arguments)] // one caller, `execute`, which owns every argument; a params struct would just rename them
+fn finalize_report(
     spec: &ScenarioSpec,
     seed: u64,
     server: &mut CraqrServer,
@@ -1072,9 +945,8 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
         let runner = ScenarioRunner::from_file(&path).unwrap();
         assert_eq!(runner.spec().epochs, 12);
         for pipelined in [false, true] {
-            let out = runner
-                .run_live(ExecMode::Serial, runner.spec().seed, false, true, pipelined)
-                .unwrap();
+            let opts = RunOptions { exec: ExecMode::Serial, pipelined, timing: true };
+            let out = runner.run_with(opts, runner.spec().seed, LogDest::Spec).unwrap();
             let registry = out.telemetry.expect("instrumented run").registry().clone();
             let counts: Vec<(String, u64)> = registry
                 .iter()
@@ -1109,8 +981,8 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     #[test]
     fn seed_override_changes_the_world() {
         let runner = ScenarioRunner::new(spec(11)).unwrap();
-        let a = runner.run_with_seed(ExecMode::Serial, 1).unwrap();
-        let b = runner.run_with_seed(ExecMode::Serial, 2).unwrap();
+        let a = runner.run_with(ExecMode::Serial, 1, LogDest::Spec).unwrap().report;
+        let b = runner.run_with(ExecMode::Serial, 2, LogDest::Spec).unwrap().report;
         assert_ne!(a.checksum(), b.checksum());
         assert_eq!(a.seed, 1);
     }
@@ -1168,22 +1040,25 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     #[test]
     fn crowd_faults_and_retry_are_mode_deterministic() {
         let runner = ScenarioRunner::new(faulty_spec(13)).unwrap();
-        let serial = runner.run_full(ExecMode::Serial, 13).unwrap();
-        let sharded = runner.run_full(ExecMode::Sharded(3), 13).unwrap();
+        let serial = runner.run_with(ExecMode::Serial, 13, LogDest::Spec).unwrap();
+        let sharded = runner.run_with(ExecMode::Sharded(3), 13, LogDest::Spec).unwrap();
         assert_eq!(serial.report.canonical(), sharded.report.canonical());
         assert_eq!(serial.log, sharded.log, "fault-injected logs must be mode-independent");
 
         // The faults actually bite: a fault-free twin diverges.
         let mut clean = faulty_spec(13);
         clean.faults = None;
-        let clean_run = ScenarioRunner::new(clean).unwrap().run_full(ExecMode::Serial, 13).unwrap();
+        let clean_run = ScenarioRunner::new(clean)
+            .unwrap()
+            .run_with(ExecMode::Serial, 13, LogDest::Spec)
+            .unwrap();
         assert_ne!(clean_run.report.checksum(), serial.report.checksum());
     }
 
     #[test]
     fn faulty_logs_replay_and_resume_everywhere() {
         let runner = ScenarioRunner::new(faulty_spec(17)).unwrap();
-        let live = runner.run_full(ExecMode::Serial, 17).unwrap();
+        let live = runner.run_with(ExecMode::Serial, 17, LogDest::Spec).unwrap();
         let log = live.log.as_ref().unwrap();
         // Replay drives a detached crowd (faults never fire there — the
         // recorded responses are already post-fault), sharded or not.
@@ -1209,8 +1084,9 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
         let dir = tempdir("streamed");
         let path = dir.join("run.runlog.txt");
         let runner = ScenarioRunner::new(spec(23)).unwrap();
-        let streamed = runner.run_streamed(ExecMode::Serial, 23, &path).unwrap();
-        let recorded = runner.run_recorded(ExecMode::Serial, 23).unwrap();
+        let streamed =
+            runner.run_with(ExecMode::Serial, 23, LogDest::Stream(path.clone())).unwrap();
+        let recorded = runner.run_with(ExecMode::Serial, 23, LogDest::Memory).unwrap();
         assert_eq!(streamed.report, recorded.report);
         assert_eq!(streamed.log, recorded.log, "streaming must not change what is recorded");
         let on_disk = std::fs::read_to_string(&path).unwrap();
@@ -1222,7 +1098,7 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     fn crash_salvage_resume_reproduces_the_uninterrupted_run() {
         let dir = tempdir("crash");
         let runner = ScenarioRunner::new(faulty_spec(29)).unwrap();
-        let uninterrupted = runner.run_full(ExecMode::Serial, 29).unwrap();
+        let uninterrupted = runner.run_with(ExecMode::Serial, 29, LogDest::Spec).unwrap();
         for point in CrashPoint::ALL {
             let path = dir.join(format!("crash-{point}.runlog.txt"));
             let durable = runner.run_to_crash(ExecMode::Serial, 29, point, 2, &path).unwrap();
@@ -1259,18 +1135,26 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
         }
         std::fs::write(dir.join("notes.txt"), "ignored: not a spec").unwrap();
 
-        let reports = ScenarioRunner::run_all(&dir, ExecMode::Sharded(2)).unwrap();
-        assert_eq!(reports.len(), 2, "exactly the .toml files run");
+        let files = scenario_files(&dir).unwrap();
+        assert_eq!(files.len(), 2, "exactly the .toml files are discovered");
+        let reports: Vec<ScenarioReport> = files
+            .iter()
+            .map(|path| ScenarioRunner::from_file(path).unwrap().run(ExecMode::Sharded(2)).unwrap())
+            .collect();
         // Sorted by file name, each under its own seed.
-        assert_eq!(reports[0].1.name, "a_first");
-        assert_eq!(reports[0].1.seed, 1);
-        assert_eq!(reports[1].1.name, "b_second");
-        assert_eq!(reports[1].1.seed, 2);
-        assert!(reports.iter().all(|(_, r)| r.totals.sent > 0));
+        assert_eq!(reports[0].name, "a_first");
+        assert_eq!(reports[0].seed, 1);
+        assert_eq!(reports[1].name, "b_second");
+        assert_eq!(reports[1].seed, 2);
+        assert!(reports.iter().all(|r| r.totals.sent > 0));
 
         // A broken spec surfaces as a path-carrying error.
         std::fs::write(dir.join("c_broken.toml"), "name = 3").unwrap();
-        let err = ScenarioRunner::run_all(&dir, ExecMode::Serial).unwrap_err();
+        let broken = scenario_files(&dir)
+            .unwrap()
+            .into_iter()
+            .find_map(|path| ScenarioRunner::from_file(&path).err());
+        let err = broken.expect("the broken spec fails to load");
         assert!(
             matches!(err, BatchError::Spec { ref path, .. } if path.ends_with("c_broken.toml")),
             "{err}"

@@ -40,7 +40,9 @@
 //! is byte-inert — reports, traces, and run logs are bit-identical with
 //! and without `--metrics` (the built-in cross-mode check compares an
 //! instrumented run against an uninstrumented one on every `--metrics`
-//! invocation, so the inertness contract is verified each time).
+//! invocation, so the inertness contract is verified each time). In the
+//! golden mode `--metrics` combines with `--pipeline`: the instrumented
+//! primary run is then pipelined, and the cross-run stays serial.
 //!
 //! # Exit codes
 //!
@@ -69,8 +71,8 @@
 //! | `--checksum`     | off            | print only `name checksum` lines |
 //! | `--print`        | off            | print each canonical report to stdout |
 //! | `--trace`        | off            | print each adaptive trace to stdout |
-//! | `--metrics FILE` | off            | instrument every run, write the merged Prometheus exposition to `FILE` |
-//! | `--pipeline`     | off            | run on the staged four-thread executor; goldens are still checked (and only ever blessed) from serial bytes |
+//! | `--metrics FILE` | off            | instrument every run (under `--pipeline` too), write the merged Prometheus exposition to `FILE` |
+//! | `--pipeline`     | off            | run on the staged four-thread executor, with or without `--metrics`; goldens are still checked (and only ever blessed) from serial bytes |
 //!
 //! Without `--bless`/`--check`/`--checksum`/`--print`, a one-line summary
 //! per scenario is printed. Every run additionally executes the spec under
@@ -90,7 +92,7 @@
 use craqr::core::{CrashPoint, ExecMode};
 use craqr::runlog::{diff_logs, parse_salvage, write_atomic, RunLog};
 use craqr::scenario::{
-    replay, replay_instrumented, resume, scenario_files, RunTelemetry, ScenarioRunner, ScenarioSpec,
+    replay, resume, scenario_files, LogDest, RunOptions, RunTelemetry, ScenarioRunner, ScenarioSpec,
 };
 use craqr::telemetry::lint_exposition;
 use std::collections::BTreeSet;
@@ -250,12 +252,14 @@ fn cmd_record(argv: &[String]) -> Result<(), Failure> {
         // replaces the streamed prefix at the end — a kill at any moment
         // leaves a salvageable prefix, never a half-written file.
         let path = out.join(format!("{}.runlog.txt", runner.spec().name));
+        let opts =
+            RunOptions { exec: exec_of(shards), pipelined: false, timing: metrics.is_some() };
         let output = runner
-            .run_streamed_instrumented(exec_of(shards), run_seed, &path, metrics.is_some())
+            .run_with(opts, run_seed, LogDest::Stream(path.clone()))
             .map_err(|e| format!("{}: {e}", file.display()))?;
         absorb_metrics(&mut registry, output.telemetry.as_ref());
-        // craqr-lint: allow(W1): internal invariant — the streamed-record API always yields a log
-        let log = output.log.expect("run_streamed always returns a log");
+        // craqr-lint: allow(W1): internal invariant — a streamed run always yields a log
+        let log = output.log.expect("a streamed run always returns a log");
         let text = log.canonical();
         // The checksum is already the canonical text's last line; reading
         // it there avoids re-rendering the whole multi-hundred-KB log.
@@ -310,8 +314,8 @@ fn cmd_metrics(argv: &[String]) -> Result<(), Failure> {
     let mut registry: Option<RunTelemetry> = None;
     for file in &files {
         let log = load_log(file)?;
-        let output = replay_instrumented(&log, exec, true)
-            .map_err(|e| format!("{}: {e}", file.display()))?;
+        let opts = RunOptions { exec, pipelined: false, timing: true };
+        let output = replay(&log, opts).map_err(|e| format!("{}: {e}", file.display()))?;
         eprintln!(
             "replayed {} [{exec:?}] events-checksum {:#018x}",
             output.report.name,
@@ -538,15 +542,13 @@ fn chaos_one(
     // exactly these checksums. Under --metrics it is instrumented — the
     // drill's exported registry describes the reference runs (recoveries
     // must converge on them anyway).
-    let reference = if registry.is_some() {
-        let r = runner
-            .run_recorded_instrumented(exec, seed)
-            .map_err(|e| format!("{}: {e}", file.display()))?;
-        absorb_metrics(registry, r.telemetry.as_ref());
-        r
-    } else {
-        runner.run_recorded(exec, seed).map_err(|e| format!("{}: {e}", file.display()))?
-    };
+    let opts = RunOptions { exec, pipelined: false, timing: registry.is_some() };
+    let reference = runner
+        .run_with(opts, seed, LogDest::Memory)
+        .map_err(|e| format!("{}: {e}", file.display()))?;
+    if registry.is_some() {
+        absorb_metrics(registry, reference.telemetry.as_ref());
+    }
     let want_report = reference.report.checksum();
     let want_trace = reference.trace.as_ref().map(|t| t.checksum());
 
@@ -792,9 +794,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
              (pipelining must never be bless-relevant)"
             .into());
     }
-    if args.metrics.is_some() && args.pipeline {
-        return Err("--metrics and --pipeline are mutually exclusive".into());
-    }
     if args.bless && args.seed.is_some() {
         return Err(
             "--bless with --seed would write goldens no --check or test run can ever match \
@@ -958,19 +957,12 @@ fn golden_mode(argv: Vec<String>) -> ExitCode {
         };
         let seed = args.seed.unwrap_or(runner.spec().seed);
         // Under --metrics the primary run is instrumented while the
-        // cross-mode run below stays uninstrumented — so the byte-inertness
-        // contract (telemetry never perturbs a checksummed artifact) is
-        // re-verified by the existing equality check on every invocation.
-        let run = |exec| {
-            if args.metrics.is_some() {
-                runner.run_full_instrumented(exec, seed)
-            } else if args.pipeline {
-                runner.run_full_pipelined(exec, seed)
-            } else {
-                runner.run_full(exec, seed)
-            }
-        };
-        let output = match run(exec) {
+        // cross-mode run below stays uninstrumented (and serial) — so the
+        // byte-inertness contract (telemetry and pipelining never perturb
+        // a checksummed artifact) is re-verified by the existing equality
+        // check on every invocation.
+        let opts = RunOptions { exec, pipelined: args.pipeline, timing: args.metrics.is_some() };
+        let output = match runner.run_with(opts, seed, LogDest::Spec) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("error: {name}: {e}");
@@ -985,7 +977,7 @@ fn golden_mode(argv: Vec<String>) -> ExitCode {
         // cross-run would only double the work. Adaptive traces and run
         // logs are held to the same byte-identity bar as reports.
         if !args.checksum {
-            match runner.run_full(cross, seed) {
+            match runner.run_with(cross, seed, LogDest::Spec) {
                 Ok(other)
                     if other.report.canonical() == output.report.canonical()
                         && other.trace.as_ref().map(|t| t.canonical())

@@ -22,7 +22,7 @@
 //! ```
 
 use craqr::core::ExecMode;
-use craqr::scenario::{AdaptiveTrace, ScenarioReport, ScenarioRunner};
+use craqr::scenario::{AdaptiveTrace, LogDest, ScenarioReport, ScenarioRunner};
 use std::path::Path;
 
 /// A replan counts as "reacting" when it lands within this many epochs of
@@ -46,10 +46,12 @@ fn runner(stem: &str) -> ScenarioRunner {
 /// across modes, and returns the serial pair.
 fn run_both_modes(stem: &str) -> (ScenarioReport, AdaptiveTrace) {
     let runner = runner(stem);
-    let serial_out =
-        runner.run_full(ExecMode::Serial, runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
-    let sharded_out =
-        runner.run_full(ExecMode::Sharded(4), runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
+    let serial_out = runner
+        .run_with(ExecMode::Serial, runner.spec().seed, LogDest::Spec)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let sharded_out = runner
+        .run_with(ExecMode::Sharded(4), runner.spec().seed, LogDest::Spec)
+        .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         serial_out.report.canonical(),
         sharded_out.report.canonical(),
@@ -162,8 +164,8 @@ fn drift_runs_are_bit_stable_across_reruns() {
 fn seed_override_changes_decisions_deterministically() {
     let runner = runner("drift_sensor_dropout");
     for seed in [1u64, 99] {
-        let serial = runner.run_full(ExecMode::Serial, seed).unwrap();
-        let sharded = runner.run_full(ExecMode::Sharded(3), seed).unwrap();
+        let serial = runner.run_with(ExecMode::Serial, seed, LogDest::Spec).unwrap();
+        let sharded = runner.run_with(ExecMode::Sharded(3), seed, LogDest::Spec).unwrap();
         assert_eq!(serial.report.canonical(), sharded.report.canonical(), "seed {seed}");
         assert_eq!(
             serial.trace.expect("trace").canonical(),

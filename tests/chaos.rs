@@ -24,7 +24,7 @@
 
 use craqr::core::{CrashPoint, ExecMode};
 use craqr::runlog::parse_salvage;
-use craqr::scenario::{resume, RunOutput, ScenarioRunner};
+use craqr::scenario::{resume, LogDest, RunOutput, ScenarioRunner};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
@@ -168,7 +168,7 @@ fn assert_recovered(reference: &RunOutput, recovered: &RunOutput, what: &str) {
 fn every_crash_point_of_every_epoch_recovers_byte_identical() {
     let runner = runner("fault_flaky_crowd");
     let scratch = Scratch::new("serial");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = runner.run_with(ExecMode::Serial, runner.spec().seed, LogDest::Memory).unwrap();
     assert!(reference.report.tenants.is_some(), "the chaos scenario must exercise tenancy");
     for epoch in 0..runner.spec().epochs {
         for point in CrashPoint::ALL {
@@ -186,7 +186,7 @@ fn every_crash_point_of_every_epoch_recovers_byte_identical() {
 fn sharded_recovery_matches_the_serial_reference() {
     let runner = runner("fault_flaky_crowd");
     let scratch = Scratch::new("sharded");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = runner.run_with(ExecMode::Serial, runner.spec().seed, LogDest::Memory).unwrap();
     for epoch in [0, 3, 7, runner.spec().epochs - 1] {
         for point in [CrashPoint::PostDrain, CrashPoint::MidLogAppend] {
             let path = scratch.log_path(point, epoch);
@@ -203,7 +203,7 @@ fn sharded_recovery_matches_the_serial_reference() {
 fn admission_rejections_survive_an_epoch_zero_crash() {
     let runner = runner("tenant_starved_reject");
     let scratch = Scratch::new("admission");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = runner.run_with(ExecMode::Serial, runner.spec().seed, LogDest::Memory).unwrap();
     let rejected: u32 =
         reference.report.tenants.as_ref().unwrap().rows.iter().map(|r| r.rejected).sum();
     assert!(rejected > 0, "the scenario must actually reject a submission");

@@ -22,7 +22,7 @@
 
 use craqr::core::{CrashPoint, ExecMode};
 use craqr::runlog::parse_salvage;
-use craqr::scenario::{replay_pipelined, resume_pipelined, RunOutput, ScenarioRunner};
+use craqr::scenario::{replay, resume, LogDest, RunOptions, RunOutput, ScenarioRunner};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
@@ -37,6 +37,10 @@ fn runner(path: &Path) -> ScenarioRunner {
     ScenarioRunner::from_file(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+fn pipelined(exec: ExecMode) -> RunOptions {
+    RunOptions { exec, pipelined: true, timing: false }
+}
+
 /// Every committed scenario produces byte-identical artifacts on the
 /// pipelined executor — and those bytes are the committed goldens, so
 /// serial, `Sharded(4)`, and pipelined are all pinned to the same files.
@@ -46,8 +50,8 @@ fn every_committed_scenario_is_pipeline_identical() {
         let runner = runner(&path);
         let name = runner.spec().name.clone();
         let seed = runner.spec().seed;
-        let serial = runner.run_full(ExecMode::Serial, seed).unwrap();
-        let piped = runner.run_full_pipelined(ExecMode::Serial, seed).unwrap();
+        let serial = runner.run_with(ExecMode::Serial, seed, LogDest::Spec).unwrap();
+        let piped = runner.run_with(pipelined(ExecMode::Serial), seed, LogDest::Spec).unwrap();
         assert_eq!(
             serial.report.canonical(),
             piped.report.canonical(),
@@ -68,7 +72,8 @@ fn every_committed_scenario_is_pipeline_identical() {
         assert_eq!(golden, piped.report.canonical(), "{name}: pipelined report is off-golden");
 
         // Pipelining composes with sharded ingestion: same bytes again.
-        let piped_sharded = runner.run_full_pipelined(ExecMode::Sharded(4), seed).unwrap();
+        let piped_sharded =
+            runner.run_with(pipelined(ExecMode::Sharded(4)), seed, LogDest::Spec).unwrap();
         assert_eq!(
             golden,
             piped_sharded.report.canonical(),
@@ -82,11 +87,11 @@ fn every_committed_scenario_is_pipeline_identical() {
 #[test]
 fn pipelined_replay_and_resume_reconverge() {
     let runner = runner(&repo_root().join("scenarios/drift_rate_jump.toml"));
-    let live = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let live = runner.run_with(ExecMode::Serial, runner.spec().seed, LogDest::Memory).unwrap();
     let log = live.log.as_ref().expect("[runlog] spec records");
 
     for exec in [ExecMode::Serial, ExecMode::Sharded(3)] {
-        let replayed = replay_pipelined(log, exec).unwrap_or_else(|e| panic!("{exec:?}: {e}"));
+        let replayed = replay(log, pipelined(exec)).unwrap_or_else(|e| panic!("{exec:?}: {e}"));
         assert_eq!(
             replayed.report.checksum(),
             live.report.checksum(),
@@ -100,7 +105,7 @@ fn pipelined_replay_and_resume_reconverge() {
     }
 
     for k in [0, 1, log.epochs.len() / 2, log.epochs.len()] {
-        let resumed = resume_pipelined(&log.truncated(k).unwrap(), ExecMode::Serial, k)
+        let resumed = resume(&log.truncated(k).unwrap(), pipelined(ExecMode::Serial), k)
             .unwrap_or_else(|e| panic!("pipelined resume at {k}: {e}"));
         assert_eq!(
             resumed.report.checksum(),
@@ -145,7 +150,7 @@ fn kill_salvage_resume(
     path: &Path,
 ) -> RunOutput {
     let durable = runner
-        .run_to_crash_pipelined(exec, runner.spec().seed, point, epoch, path)
+        .run_to_crash(pipelined(exec), runner.spec().seed, point, epoch, path)
         .unwrap_or_else(|e| panic!("pipelined crash {point} @ epoch {epoch}: {e}"));
     assert_eq!(
         durable, epoch as usize,
@@ -157,7 +162,7 @@ fn kill_salvage_resume(
         .unwrap_or_else(|e| panic!("{point} @ epoch {epoch}: nothing salvageable: {e}"));
     assert_eq!(salvage.log.epochs.len(), durable, "{point} @ epoch {epoch}: salvage size");
     assert!(salvage.torn.is_some(), "{point} @ epoch {epoch}: a killed stream never looks sealed");
-    resume_pipelined(&salvage.log, exec, durable)
+    resume(&salvage.log, pipelined(exec), durable)
         .unwrap_or_else(|e| panic!("{point} @ epoch {epoch}: pipelined resume: {e}"))
 }
 
@@ -169,7 +174,7 @@ fn kill_salvage_resume(
 fn pipelined_chaos_matrix_recovers_byte_identical() {
     let runner = runner(&repo_root().join("scenarios/fault_flaky_crowd.toml"));
     let scratch = Scratch::new("serial");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = runner.run_with(ExecMode::Serial, runner.spec().seed, LogDest::Memory).unwrap();
     for epoch in 0..runner.spec().epochs {
         for point in CrashPoint::ALL {
             let path = scratch.0.join(format!("kill.{}.e{epoch}.runlog.txt", point.name()));
@@ -195,7 +200,7 @@ fn pipelined_chaos_matrix_recovers_byte_identical() {
 fn pipelined_sharded_recovery_matches_the_serial_reference() {
     let runner = runner(&repo_root().join("scenarios/fault_flaky_crowd.toml"));
     let scratch = Scratch::new("sharded");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = runner.run_with(ExecMode::Serial, runner.spec().seed, LogDest::Memory).unwrap();
     for epoch in [0, runner.spec().epochs - 1] {
         for point in [CrashPoint::PostDrain, CrashPoint::MidLogAppend] {
             let path = scratch.0.join(format!("kill.{}.e{epoch}.runlog.txt", point.name()));

@@ -11,7 +11,7 @@
 //! ```
 
 use craqr::core::ExecMode;
-use craqr::scenario::{ScenarioRunner, ScenarioSpec};
+use craqr::scenario::{LogDest, ScenarioRunner, ScenarioSpec};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
@@ -94,8 +94,8 @@ fn determinism_holds_across_seed_overrides() {
     let path = repo_root().join("scenarios/baseline_temp.toml");
     let runner = ScenarioRunner::new(load(&path)).unwrap();
     for seed in [1u64, 0xDEAD_BEEF] {
-        let serial = runner.run_with_seed(ExecMode::Serial, seed).unwrap();
-        let sharded = runner.run_with_seed(ExecMode::Sharded(3), seed).unwrap();
+        let serial = runner.run_with(ExecMode::Serial, seed, LogDest::Spec).unwrap().report;
+        let sharded = runner.run_with(ExecMode::Sharded(3), seed, LogDest::Spec).unwrap().report;
         assert_eq!(serial.canonical(), sharded.canonical(), "seed {seed}");
         assert_eq!(serial.checksum(), sharded.checksum(), "seed {seed}");
     }

@@ -10,7 +10,7 @@
 //! checksummed surface (or collection perturbed the run itself).
 
 use craqr::core::ExecMode;
-use craqr::scenario::{ScenarioRunner, ScenarioSpec};
+use craqr::scenario::{LogDest, RunOptions, ScenarioRunner, ScenarioSpec};
 use craqr::telemetry::lint_exposition;
 use std::path::{Path, PathBuf};
 
@@ -36,8 +36,10 @@ fn instrumentation_is_byte_inert_on_every_committed_scenario() {
         let seed = runner.spec().seed;
         let name = runner.spec().name.clone();
         for exec in [ExecMode::Serial, ExecMode::Sharded(4)] {
-            let plain = runner.run_full(exec, seed).expect("uninstrumented run");
-            let timed = runner.run_full_instrumented(exec, seed).expect("instrumented run");
+            let plain = runner.run_with(exec, seed, LogDest::Spec).expect("uninstrumented run");
+            let timed = runner
+                .run_with(RunOptions { exec, pipelined: false, timing: true }, seed, LogDest::Spec)
+                .expect("instrumented run");
             assert_eq!(
                 plain.report.canonical(),
                 timed.report.canonical(),
@@ -84,7 +86,8 @@ fn committed_goldens_match_instrumented_runs_byte_for_byte() {
         let golden_path = repo_root().join("tests/goldens").join(format!("{name}.golden.txt"));
         let golden = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
-        let timed = runner.run_full_instrumented(ExecMode::Serial, seed).expect("run");
+        let timed = RunOptions { timing: true, ..RunOptions::default() };
+        let timed = runner.run_with(timed, seed, LogDest::Spec).expect("run");
         assert_eq!(
             golden,
             timed.report.canonical(),
